@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops: tokenizer,
 // string similarity, ridge solve, agglomerative clustering, matcher
-// prediction, SGNS training step throughput.
+// prediction (single pairs, distinct-pair batches, perturbation batches),
+// SGNS training step throughput.
 
 #include <benchmark/benchmark.h>
 
@@ -181,6 +182,49 @@ void BM_EmbeddingBagPerturbationBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EmbeddingBagPerturbationBatch)->Arg(32)->Arg(256)->Arg(1024);
+
+// Token-drop perturbations of one test pair through a feature matcher:
+// each variant keeps every token of every attribute with probability 1/2
+// (seeded, so the batch is the same in every run), joined by single
+// spaces as BatchScorer materializes a mask. Every variant draws on the
+// same tokens, which PairFeaturizer's per-batch memo exploits;
+// BM_PredictProbaBatch scores distinct pairs and cannot show it.
+void BM_FeatureMatcherPerturbationBatch(benchmark::State& state) {
+  const auto kind = static_cast<crew::MatcherKind>(state.range(0));
+  const int batch = static_cast<int>(state.range(1));
+  const auto& pipeline = PipelineFor(kind);
+  const crew::RecordPair& base = pipeline.test.pair(0);
+  const crew::Tokenizer tokenizer;
+  crew::Rng rng(17);
+  std::vector<crew::RecordPair> pairs(batch, base);
+  for (crew::RecordPair& pair : pairs) {
+    for (crew::Record* record : {&pair.left, &pair.right}) {
+      for (std::string& value : record->values) {
+        std::string kept;
+        for (const std::string& token : tokenizer.Tokenize(value)) {
+          if (!rng.Bernoulli(0.5)) continue;
+          if (!kept.empty()) kept += ' ';
+          kept += token;
+        }
+        value = std::move(kept);
+      }
+    }
+  }
+  std::vector<double> scores;
+  for (auto _ : state) {
+    pipeline.matcher->PredictProbaBatch(pairs, &scores);
+    benchmark::DoNotOptimize(scores.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+
+void FeatureMatcherArgs(benchmark::internal::Benchmark* b) {
+  for (crew::MatcherKind kind : crew::AllMatcherKinds()) {
+    if (kind == crew::MatcherKind::kEmbeddingBag) continue;
+    for (int batch : {32, 256}) b->Args({static_cast<long>(kind), batch});
+  }
+}
+BENCHMARK(BM_FeatureMatcherPerturbationBatch)->Apply(FeatureMatcherArgs);
 
 void BM_SgnsEpoch(benchmark::State& state) {
   crew::Corpus corpus;

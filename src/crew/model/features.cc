@@ -9,14 +9,16 @@
 namespace crew {
 namespace {
 
-// Levenshtein on long free text is quadratic; above this length fall back
-// to a token-level proxy so perturbation loops stay fast.
+// Values longer than this get the token-level Dice proxy instead of
+// Levenshtein. The cutoff decides which feature a matcher is trained on,
+// so it is part of the feature definition.
 constexpr size_t kMaxLevenshteinLength = 48;
 
+// `set_a`, `set_b` and `intersection` count the distinct tokens of the two
+// values and those they share (the Dice proxy's inputs).
 double TypeSpecificSimilarity(AttributeType type, const std::string& a,
-                              const std::string& b,
-                              const std::vector<std::string>& ta,
-                              const std::vector<std::string>& tb) {
+                              const std::string& b, size_t set_a,
+                              size_t set_b, size_t intersection) {
   switch (type) {
     case AttributeType::kNumeric:
       return NumericSimilarity(a, b);
@@ -26,12 +28,144 @@ double TypeSpecificSimilarity(AttributeType type, const std::string& a,
           b.size() <= kMaxLevenshteinLength) {
         return LevenshteinSimilarity(a, b);
       }
-      return DiceCoefficient(ta, tb);
+      return DiceFromCounts(set_a, set_b, intersection);
   }
   return 0.0;
 }
 
+// Pair-memo slots stop doubling here (16 B each, so 64 KiB). A batch of
+// many distinct pairs that fills the table starts it over instead, which
+// bounds the memo's memory per scoring thread; values do not change.
+constexpr size_t kMaxPairSlots = size_t{1} << 12;
+constexpr std::uint64_t kEmptyPair = ~std::uint64_t{0};
+
+std::uint64_t HashBytes(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+size_t PairSlotIndex(std::uint64_t key, size_t mask) {
+  std::uint64_t h = key * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
+void InternAll(const std::vector<std::string>& tokens, TokenMemo* memo,
+               std::vector<int>* ids) {
+  ids->clear();
+  for (const std::string& token : tokens) ids->push_back(memo->Intern(token));
+}
+
+void SortedDistinct(const std::vector<int>& ids, std::vector<int>* set) {
+  set->assign(ids.begin(), ids.end());
+  std::sort(set->begin(), set->end());
+  set->erase(std::unique(set->begin(), set->end()), set->end());
+}
+
+size_t IntersectionSize(const std::vector<int>& a, const std::vector<int>& b) {
+  size_t n = 0;
+  for (size_t i = 0, j = 0; i < a.size() && j < b.size();) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (b[j] < a[i]) {
+      ++j;
+    } else {
+      ++n, ++i, ++j;
+    }
+  }
+  return n;
+}
+
+// Mean embedding of interned tokens, summed in token order (duplicates
+// included) like EmbeddingStore::MeanVectorInto on their strings.
+void MeanOfIds(const EmbeddingStore& embeddings, const TokenMemo& memo,
+               const std::vector<int>& ids, std::vector<int>* rows,
+               la::Vec* mean) {
+  rows->clear();
+  for (int id : ids) rows->push_back(memo.EmbeddingRow(id));
+  embeddings.MeanVectorOfIdsInto(*rows, mean);
+}
+
 }  // namespace
+
+void TokenMemo::Bind(const EmbeddingStore* embeddings) {
+  if (embeddings == embeddings_) return;
+  embeddings_ = embeddings;
+  chars_.clear();
+  entries_.clear();
+  std::fill(token_slots_.begin(), token_slots_.end(), 0);
+  std::fill(pair_slots_.begin(), pair_slots_.end(), PairSlot{kEmptyPair, 0.0});
+  pair_count_ = 0;
+}
+
+int TokenMemo::Intern(std::string_view token) {
+  if (2 * (entries_.size() + 1) > token_slots_.size()) GrowTokenSlots();
+  const std::uint64_t hash = HashBytes(token);
+  const size_t mask = token_slots_.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::int32_t slot = token_slots_[i];
+    if (slot == 0) {
+      const int id = static_cast<int>(entries_.size());
+      const int row = embeddings_ != nullptr ? embeddings_->TokenId(token) : -1;
+      entries_.push_back({static_cast<std::uint32_t>(chars_.size()),
+                          static_cast<std::uint32_t>(token.size()), hash, row});
+      chars_.append(token);
+      token_slots_[i] = id + 1;
+      return id;
+    }
+    const int id = slot - 1;
+    if (entries_[id].hash == hash && Token(id) == token) return id;
+  }
+}
+
+void TokenMemo::GrowTokenSlots() {
+  token_slots_.assign(std::max<size_t>(64, 2 * token_slots_.size()), 0);
+  const size_t mask = token_slots_.size() - 1;
+  for (size_t id = 0; id < entries_.size(); ++id) {
+    size_t i = entries_[id].hash & mask;
+    while (token_slots_[i] != 0) i = (i + 1) & mask;
+    token_slots_[i] = static_cast<std::int32_t>(id + 1);
+  }
+}
+
+double TokenMemo::JaroWinkler(int a, int b) {
+  if (2 * (pair_count_ + 1) > pair_slots_.size()) GrowPairSlots();
+  const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) |
+                            static_cast<std::uint32_t>(b);
+  const size_t mask = pair_slots_.size() - 1;
+  for (size_t i = PairSlotIndex(key, mask);; i = (i + 1) & mask) {
+    PairSlot& slot = pair_slots_[i];
+    if (slot.key == key) return slot.value;
+    if (slot.key == kEmptyPair) {
+      slot = {key, JaroWinklerSimilarity(Token(a), Token(b))};
+      ++pair_count_;
+      return slot.value;
+    }
+  }
+}
+
+void TokenMemo::GrowPairSlots() {
+  pair_count_ = 0;
+  if (pair_slots_.size() >= kMaxPairSlots) {  // full at the cap: start over
+    std::fill(pair_slots_.begin(), pair_slots_.end(),
+              PairSlot{kEmptyPair, 0.0});
+    return;
+  }
+  std::vector<PairSlot> old(std::max<size_t>(256, 2 * pair_slots_.size()),
+                            PairSlot{kEmptyPair, 0.0});
+  old.swap(pair_slots_);
+  const size_t mask = pair_slots_.size() - 1;
+  for (const PairSlot& slot : old) {
+    if (slot.key == kEmptyPair) continue;
+    size_t i = PairSlotIndex(slot.key, mask);
+    while (pair_slots_[i].key != kEmptyPair) i = (i + 1) & mask;
+    pair_slots_[i] = slot;
+    ++pair_count_;
+  }
+}
 
 PairFeaturizer::PairFeaturizer(Schema schema,
                                std::shared_ptr<const EmbeddingStore> embeddings,
@@ -75,36 +209,49 @@ void PairFeaturizer::ExtractInto(const RecordPair& pair, Scratch* scratch,
   features.clear();
   features.reserve(FeatureCount());
 
-  std::vector<std::string>& ta = scratch->left_tokens;
-  std::vector<std::string>& tb = scratch->right_tokens;
-  std::vector<std::string>& all_left = scratch->all_left;
-  std::vector<std::string>& all_right = scratch->all_right;
+  TokenMemo& memo = scratch->memo;
+  memo.Bind(embeddings_.get());
+  std::vector<int>& ta = scratch->left_ids;
+  std::vector<int>& tb = scratch->right_ids;
+  std::vector<int>& sa = scratch->left_set;
+  std::vector<int>& sb = scratch->right_set;
+  std::vector<int>& all_left = scratch->all_left;
+  std::vector<int>& all_right = scratch->all_right;
   all_left.clear();
   all_right.clear();
+  auto jaro_winkler = [&memo](int x, int y) { return memo.JaroWinkler(x, y); };
   for (int a = 0; a < schema_.size(); ++a) {
     const std::string& va = pair.left.values[a];
     const std::string& vb = pair.right.values[a];
-    tokenizer_.TokenizeInto(va, &ta);
-    tokenizer_.TokenizeInto(vb, &tb);
+    tokenizer_.TokenizeInto(va, &scratch->left_tokens);
+    tokenizer_.TokenizeInto(vb, &scratch->right_tokens);
+    InternAll(scratch->left_tokens, &memo, &ta);
+    InternAll(scratch->right_tokens, &memo, &tb);
     all_left.insert(all_left.end(), ta.begin(), ta.end());
     all_right.insert(all_right.end(), tb.begin(), tb.end());
+    SortedDistinct(ta, &sa);
+    SortedDistinct(tb, &sb);
+    const size_t inter = IntersectionSize(sa, sb);
 
-    features.push_back(JaccardSimilarity(ta, tb));
-    features.push_back(OverlapCoefficient(ta, tb));
-    features.push_back(MongeElkanSimilarity(ta, tb));
+    features.push_back(JaccardFromCounts(sa.size(), sb.size(), inter));
+    features.push_back(OverlapFromCounts(sa.size(), sb.size(), inter));
+    features.push_back(MongeElkanWith(ta, tb, jaro_winkler));
     if (embeddings_ != nullptr) {
-      embeddings_->MeanVectorInto(ta, &scratch->mean_left);
-      embeddings_->MeanVectorInto(tb, &scratch->mean_right);
+      MeanOfIds(*embeddings_, memo, ta, &scratch->rows, &scratch->mean_left);
+      MeanOfIds(*embeddings_, memo, tb, &scratch->rows, &scratch->mean_right);
       features.push_back(la::Cosine(scratch->mean_left, scratch->mean_right));
     } else {
       features.push_back(0.0);
     }
-    features.push_back(
-        TypeSpecificSimilarity(schema_.type(a), va, vb, ta, tb));
+    features.push_back(TypeSpecificSimilarity(schema_.type(a), va, vb,
+                                              sa.size(), sb.size(), inter));
   }
 
-  features.push_back(JaccardSimilarity(all_left, all_right));
-  features.push_back(OverlapCoefficient(all_left, all_right));
+  SortedDistinct(all_left, &sa);
+  SortedDistinct(all_right, &sb);
+  const size_t inter = IntersectionSize(sa, sb);
+  features.push_back(JaccardFromCounts(sa.size(), sb.size(), inter));
+  features.push_back(OverlapFromCounts(sa.size(), sb.size(), inter));
   const double la = static_cast<double>(all_left.size()) + 1.0;
   const double lb = static_cast<double>(all_right.size()) + 1.0;
   features.push_back(std::log(la / lb));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "crew/common/trace.h"
 #include "crew/model/metrics.h"
 
 namespace crew {
@@ -135,13 +136,29 @@ Result<std::unique_ptr<RuleMatcher>> RuleMatcher::Train(
   return matcher;
 }
 
-double RuleMatcher::PredictProba(const RecordPair& pair) const {
-  const la::Vec features = featurizer_.Extract(pair);
-  la::Vec margins(conditions_.size());
+double RuleMatcher::ScoreFeatures(const la::Vec& features,
+                                  la::Vec* margins) const {
+  margins->resize(conditions_.size());
   for (size_t c = 0; c < conditions_.size(); ++c) {
-    margins[c] = features[conditions_[c].feature] - conditions_[c].cutoff;
+    (*margins)[c] = features[conditions_[c].feature] - conditions_[c].cutoff;
   }
-  return la::Sigmoid(la::Dot(logit_weights_, margins) + logit_bias_);
+  return la::Sigmoid(la::Dot(logit_weights_, *margins) + logit_bias_);
+}
+
+double RuleMatcher::PredictProba(const RecordPair& pair) const {
+  la::Vec margins;
+  return ScoreFeatures(featurizer_.Extract(pair), &margins);
+}
+
+void RuleMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
+                                    double* out) const {
+  CREW_TRACE_SPAN("matcher/rule");
+  PairFeaturizer::Scratch scratch;
+  la::Vec x, margins;
+  for (size_t i = 0; i < count; ++i) {
+    featurizer_.ExtractInto(pairs[i], &scratch, &x);
+    out[i] = ScoreFeatures(x, &margins);
+  }
 }
 
 std::string RuleMatcher::RuleString() const {

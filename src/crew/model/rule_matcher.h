@@ -33,6 +33,9 @@ class RuleMatcher : public Matcher {
       const RuleMatcherConfig& config = RuleMatcherConfig());
 
   double PredictProba(const RecordPair& pair) const override;
+  using Matcher::PredictProbaBatch;
+  void PredictProbaBatch(const RecordPair* pairs, size_t count,
+                         double* out) const override;
   double threshold() const override { return threshold_; }
   std::string Name() const override { return "rule"; }
 
@@ -54,6 +57,9 @@ class RuleMatcher : public Matcher {
         conditions_(std::move(conditions)),
         logit_weights_(std::move(logit_weights)), logit_bias_(logit_bias),
         threshold_(threshold) {}
+
+  /// Probability from a feature vector; `margins` is a reusable buffer.
+  double ScoreFeatures(const la::Vec& features, la::Vec* margins) const;
 
   PairFeaturizer featurizer_;
   std::vector<Condition> conditions_;

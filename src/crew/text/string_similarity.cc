@@ -2,17 +2,55 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_set>
+#include <utility>
 
 #include "crew/common/string_util.h"
 
 namespace crew {
 
+namespace {
+
+// Bit-parallel edit distance for |pattern| in [1, 64]. Bit i of the
+// vertical delta vectors `vp`/`vn` says whether D[i+1][j] - D[i][j] is +1
+// or -1 in the current column j; each text character advances the whole
+// column in a few word operations, and `score` tracks the last row,
+// D[m][j]. Hyyrö (2003), "A bit-vector algorithm for computing Levenshtein
+// and Damerau edit distances".
+int BitParallelDistance(std::string_view pattern, std::string_view text) {
+  const int m = static_cast<int>(pattern.size());
+  std::uint64_t peq[256] = {};  // match mask per byte value
+  for (int i = 0; i < m; ++i) {
+    peq[static_cast<unsigned char>(pattern[i])] |= std::uint64_t{1} << i;
+  }
+  const std::uint64_t last = std::uint64_t{1} << (m - 1);
+  std::uint64_t vp = ~std::uint64_t{0};
+  std::uint64_t vn = 0;
+  int score = m;
+  for (char ch : text) {
+    const std::uint64_t eq = peq[static_cast<unsigned char>(ch)];
+    const std::uint64_t d0 = (((eq & vp) + vp) ^ vp) | eq | vn;
+    std::uint64_t hp = vn | ~(d0 | vp);
+    std::uint64_t hn = vp & d0;
+    if (hp & last) ++score;
+    if (hn & last) --score;
+    hp = (hp << 1) | 1;  // row 0 of a global alignment grows by 1 per column
+    hn <<= 1;
+    vp = hn | ~(d0 | hp);
+    vn = hp & d0;
+  }
+  return score;
+}
+
+}  // namespace
+
 int LevenshteinDistance(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);  // `a` is now the shorter one
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
   if (n == 0) return m;
-  if (m == 0) return n;
+  if (n <= 64) return BitParallelDistance(a, b);
   std::vector<int> prev(m + 1), cur(m + 1);
   for (int j = 0; j <= m; ++j) prev[j] = j;
   for (int i = 1; i <= n; ++i) {
@@ -85,11 +123,11 @@ std::unordered_set<std::string_view> ToSet(const std::vector<std::string>& v) {
   return s;
 }
 
-int IntersectionSize(const std::unordered_set<std::string_view>& set_a,
-                     const std::unordered_set<std::string_view>& set_b) {
+size_t IntersectionSize(const std::unordered_set<std::string_view>& set_a,
+                        const std::unordered_set<std::string_view>& set_b) {
   const auto& small = set_a.size() <= set_b.size() ? set_a : set_b;
   const auto& large = set_a.size() <= set_b.size() ? set_b : set_a;
-  int n = 0;
+  size_t n = 0;
   // crew-lint: allow(unordered-iter): accumulates an order-independent
   // integer count; no output depends on visit order.
   for (const auto& t : small) {
@@ -100,45 +138,45 @@ int IntersectionSize(const std::unordered_set<std::string_view>& set_a,
 
 }  // namespace
 
+double JaccardFromCounts(size_t a, size_t b, size_t intersection) {
+  if (a == 0 && b == 0) return 1.0;
+  return static_cast<double>(intersection) /
+         static_cast<double>(a + b - intersection);
+}
+
+double OverlapFromCounts(size_t a, size_t b, size_t intersection) {
+  if (a == 0 && b == 0) return 1.0;
+  if (a == 0 || b == 0) return 0.0;
+  return static_cast<double>(intersection) /
+         static_cast<double>(std::min(a, b));
+}
+
+double DiceFromCounts(size_t a, size_t b, size_t intersection) {
+  if (a == 0 && b == 0) return 1.0;
+  return 2.0 * static_cast<double>(intersection) / static_cast<double>(a + b);
+}
+
 double JaccardSimilarity(const std::vector<std::string>& a,
                          const std::vector<std::string>& b) {
   const auto sa = ToSet(a), sb = ToSet(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  const int inter = IntersectionSize(sa, sb);
-  const int uni = static_cast<int>(sa.size() + sb.size()) - inter;
-  return uni == 0 ? 1.0 : static_cast<double>(inter) / uni;
+  return JaccardFromCounts(sa.size(), sb.size(), IntersectionSize(sa, sb));
 }
 
 double OverlapCoefficient(const std::vector<std::string>& a,
                           const std::vector<std::string>& b) {
   const auto sa = ToSet(a), sb = ToSet(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  if (sa.empty() || sb.empty()) return 0.0;
-  const int inter = IntersectionSize(sa, sb);
-  return static_cast<double>(inter) /
-         static_cast<double>(std::min(sa.size(), sb.size()));
+  return OverlapFromCounts(sa.size(), sb.size(), IntersectionSize(sa, sb));
 }
 
 double DiceCoefficient(const std::vector<std::string>& a,
                        const std::vector<std::string>& b) {
   const auto sa = ToSet(a), sb = ToSet(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  const int inter = IntersectionSize(sa, sb);
-  return 2.0 * inter / static_cast<double>(sa.size() + sb.size());
+  return DiceFromCounts(sa.size(), sb.size(), IntersectionSize(sa, sb));
 }
 
 double MongeElkanSimilarity(const std::vector<std::string>& a,
                             const std::vector<std::string>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& ta : a) {
-    double best = 0.0;
-    for (const auto& tb : b) {
-      best = std::max(best, JaroWinklerSimilarity(ta, tb));
-    }
-    total += best;
-  }
-  return total / static_cast<double>(a.size());
+  return MongeElkanWith(a, b, JaroWinklerSimilarity);
 }
 
 double NumericSimilarity(std::string_view a, std::string_view b) {

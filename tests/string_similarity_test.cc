@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "crew/common/rng.h"
 
 namespace crew {
@@ -13,6 +17,64 @@ TEST(LevenshteinTest, KnownDistances) {
   EXPECT_EQ(LevenshteinDistance("abc", ""), 3);
   EXPECT_EQ(LevenshteinDistance("same", "same"), 0);
   EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2);
+}
+
+// Textbook O(n*m) dynamic program, the definition the bit-parallel
+// LevenshteinDistance must reproduce exactly.
+int ReferenceLevenshtein(const std::string& a, const std::string& b) {
+  std::vector<std::vector<int>> d(a.size() + 1,
+                                  std::vector<int>(b.size() + 1, 0));
+  for (size_t i = 0; i <= a.size(); ++i) d[i][0] = static_cast<int>(i);
+  for (size_t j = 0; j <= b.size(); ++j) d[0][j] = static_cast<int>(j);
+  for (size_t i = 1; i <= a.size(); ++i) {
+    for (size_t j = 1; j <= b.size(); ++j) {
+      const int cost = a[i - 1] == b[j - 1] ? 0 : 1;
+      d[i][j] = std::min({d[i - 1][j] + 1, d[i][j - 1] + 1,
+                          d[i - 1][j - 1] + cost});
+    }
+  }
+  return d[a.size()][b.size()];
+}
+
+// Random strings of length 0-80 over small alphabets (so edits align)
+// and over all 256 byte values (bytes >= 0x80 catch signed-char
+// indexing), with the word-size boundaries 63/64/65 on either side.
+TEST(LevenshteinTest, BitParallelMatchesDynamicProgram) {
+  Rng rng(2024);
+  auto random_string = [&](int len, int alphabet) {
+    std::string s;
+    for (int i = 0; i < len; ++i) {
+      s.push_back(alphabet == 256
+                      ? static_cast<char>(rng.UniformInt(256))
+                      : static_cast<char>('a' + rng.UniformInt(alphabet)));
+    }
+    return s;
+  };
+  const int boundary[] = {0, 1, 2, 31, 32, 33, 47, 48, 49, 63, 64, 65, 80};
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int alphabet = trial % 3 == 0 ? 256 : (trial % 3 == 1 ? 2 : 5);
+    const int la = trial % 4 == 0 ? boundary[rng.UniformInt(13)]
+                                  : rng.UniformInt(0, 80);
+    const int lb = trial % 5 == 0 ? boundary[rng.UniformInt(13)]
+                                  : rng.UniformInt(0, 80);
+    const std::string a = random_string(la, alphabet);
+    std::string b = random_string(lb, alphabet);
+    if (trial % 7 == 0) {  // a near-copy: few edits, long alignments
+      b = a;
+      for (int e = rng.UniformInt(0, 4); e > 0 && !b.empty(); --e) {
+        b[rng.UniformInt(static_cast<int>(b.size()))] ^= 0x81;
+      }
+    }
+    ASSERT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
+        << "lengths " << a.size() << " and " << b.size();
+  }
+  for (int len : {63, 64, 65}) {
+    const std::string a(len, '\xff');
+    const std::string b = std::string(len - 1, '\xff') + '\x80';
+    EXPECT_EQ(LevenshteinDistance(a, b), 1);
+    EXPECT_EQ(LevenshteinDistance(a, ""), len);
+    EXPECT_EQ(LevenshteinDistance(a, a + a), len);
+  }
 }
 
 TEST(LevenshteinTest, SimilarityNormalization) {
