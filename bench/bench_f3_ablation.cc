@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
        crew::AggColumn("eff_units",
                        &crew::ExplainerAggregate::effective_units, 1)},
       /*dataset_column=*/false, /*variant_column=*/true);
-  crew::bench::DieIfError(table.Consume(summary));
+  crew::bench::DieIfError(crew::ReplayResult(table, summary));
   crew::bench::EmitJsonIfRequested(*result, options);
   return 0;
 }

@@ -93,22 +93,10 @@ int main(int argc, char** argv) {
       {crew::MetricColumn("samples", "samples", 0),
        crew::AggColumn("ms/explanation",
                        &crew::ExplainerAggregate::runtime_ms, 2),
-       {"preds",
-        [](const crew::ExperimentCell& cell) {
-          return std::to_string(cell.scoring.predictions);
-        }},
-       {"batches",
-        [](const crew::ExperimentCell& cell) {
-          return std::to_string(cell.scoring.batches);
-        }},
-       {"mat-ms",
-        [](const crew::ExperimentCell& cell) {
-          return crew::Table::Num(cell.scoring.materialize_ms, 1);
-        }},
-       {"pred-ms",
-        [](const crew::ExperimentCell& cell) {
-          return crew::Table::Num(cell.scoring.predict_ms, 1);
-        }},
+       crew::RegistryCountColumn("preds", "crew/scoring/predictions"),
+       crew::RegistryCountColumn("batches", "crew/scoring/batches"),
+       crew::RegistryMsColumn("mat-ms", "crew/scoring/materialize", 1),
+       crew::RegistryMsColumn("pred-ms", "crew/scoring/predict", 1),
        crew::RegistryMsColumn("wall-ms", "crew/runner/instance", 1),
        crew::RegistryMsColumn("cpu-ms", "crew/runner/instance_cpu", 1)},
       /*dataset_column=*/false, /*variant_column=*/true);

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
        crew::AggColumn("words-to-flip",
                        &crew::ExplainerAggregate::flip_set_tokens, 2)},
       /*dataset_column=*/false, /*variant_column=*/true);
-  crew::bench::DieIfError(table.Consume(summary));
+  crew::bench::DieIfError(crew::ReplayResult(table, summary));
   std::printf("(units/words averaged over flipped instances only)\n");
   crew::bench::EmitJsonIfRequested(*result, options);
   return 0;

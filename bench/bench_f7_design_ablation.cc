@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
        crew::AggColumn("coherence",
                        &crew::ExplainerAggregate::cluster_coherence)},
       /*dataset_column=*/false, /*variant_column=*/true);
-  crew::bench::DieIfError(table.Consume(summary));
+  crew::bench::DieIfError(crew::ReplayResult(table, summary));
   crew::bench::EmitJsonIfRequested(*result, options);
   return 0;
 }

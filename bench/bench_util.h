@@ -186,7 +186,7 @@ inline void EmitExperiment(ExperimentResult& result,
                            bool variant_column = true) {
   result.include_metrics = options.metrics;
   TableSink table(std::move(columns), dataset_column, variant_column);
-  DieIfError(table.Consume(result));
+  DieIfError(ReplayResult(table, result));
   if (!options.json.empty()) {
     DieIfError(WriteExperimentJson(result, options.json));
     std::printf("wrote %s\n", options.json.c_str());
@@ -199,18 +199,7 @@ inline void EmitExperiment(ExperimentResult& result,
 inline void EmitJsonIfRequested(ExperimentResult& result,
                                 const BenchOptions& options) {
   result.include_metrics = options.metrics;
-  if (options.metrics) {
-    std::vector<MetricsSnapshot> deltas;
-    deltas.reserve(result.cells.size());
-    for (const ExperimentCell& cell : result.cells) {
-      deltas.push_back(cell.registry);
-    }
-    const MetricsSnapshot total = MetricsSum(deltas);
-    if (!total.empty()) {
-      std::printf("-- metrics (summed over cells) --\n%s\n",
-                  MetricsSnapshotTable(total).ToAligned().c_str());
-    }
-  }
+  if (options.metrics) PrintSummedMetrics(result.cells, stdout);
   if (!options.json.empty()) {
     DieIfError(WriteExperimentJson(result, options.json));
     std::printf("wrote %s\n", options.json.c_str());

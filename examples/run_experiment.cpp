@@ -147,13 +147,14 @@ int main(int argc, char** argv) {
       crew::AggColumn("units", &crew::ExplainerAggregate::total_units, 1),
       crew::AggColumn("ms/expl", &crew::ExplainerAggregate::runtime_ms, 2),
   });
-  if (auto status = table.Consume(result.value()); !status.ok()) {
+  if (auto status = crew::ReplayResult(table, result.value());
+      !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
   if (!json.empty()) {
-    crew::JsonSink sink(json);
-    if (auto status = sink.Consume(result.value()); !status.ok()) {
+    if (auto status = crew::WriteExperimentJson(result.value(), json);
+        !status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
     }

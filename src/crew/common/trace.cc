@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "crew/common/json.h"
 #include "crew/common/string_util.h"
 
 namespace crew {
@@ -57,20 +58,6 @@ std::chrono::steady_clock::time_point TraceEpoch() {
   static const std::chrono::steady_clock::time_point epoch =
       std::chrono::steady_clock::now();
   return epoch;
-}
-
-void AppendJsonEscaped(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      *out += StrPrintf("\\u%04x", c);
-    } else {
-      out->push_back(c);
-    }
-  }
 }
 
 }  // namespace
@@ -156,11 +143,11 @@ std::string TraceEventsToChromeJson(const std::vector<TraceEvent>& events) {
   for (const TraceEvent& event : events) {
     if (!first) out += ",";
     first = false;
-    out += "{\"name\":\"";
-    AppendJsonEscaped(event.name, &out);
+    out += "{\"name\":";
+    out += JsonStr(event.name);
     // ts/dur are microseconds (doubles); %.3f keeps nanosecond resolution.
     out += StrPrintf(
-        "\",\"cat\":\"crew\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
+        ",\"cat\":\"crew\",\"ph\":\"X\",\"pid\":%d,\"tid\":%d,"
         "\"ts\":%.3f,\"dur\":%.3f}",
         pid, event.tid, static_cast<double>(event.start_ns) / 1e3,
         static_cast<double>(event.dur_ns) / 1e3);

@@ -34,8 +34,6 @@ bool StableTiming() {
 
 void ZeroCellTimings(ExperimentCell* cell) {
   cell->wall_ms = 0.0;
-  cell->scoring.materialize_ms = 0.0;
-  cell->scoring.predict_ms = 0.0;
   cell->aggregate.runtime_ms = 0.0;
   for (MetricEntry& entry : cell->registry) entry.total_ms = 0.0;
   for (InstanceEvaluation& r : cell->instances) r.runtime_ms = 0.0;
@@ -517,14 +515,11 @@ Result<ExperimentResult> ExperimentRunner::RunPrepared(
     cell.dataset = p.name;
     cell.variant = entry.name;
     cell.wall_ms = timer.ElapsedMillis();
-    // One registry read feeds both views, so cell.scoring and
-    // cell.registry can never disagree. All-zero entries are dropped so
-    // the delta's shape reflects this cell's activity only — metrics a
-    // *previous* cell registered must not leak in, or the block would
-    // depend on execution order.
+    // All-zero entries are dropped so the delta's shape reflects this
+    // cell's activity only — metrics a *previous* cell registered must not
+    // leak in, or the block would depend on execution order.
     cell.registry = DropZeroMetrics(
         MetricsDelta(MetricsRegistry::Global().Snapshot(), before));
-    cell.scoring = ScoringStatsFromMetrics(cell.registry);
     cell.instances = std::move(records.value());
     {
       CREW_TRACE_SPAN("runner/reduce");

@@ -12,7 +12,6 @@
 #include "crew/data/benchmark_suite.h"
 #include "crew/eval/experiment.h"
 #include "crew/eval/faithfulness.h"
-#include "crew/explain/batch_scorer.h"
 #include "crew/model/trainer.h"
 
 namespace crew {
@@ -23,19 +22,18 @@ class FaultInjector;
 
 /// Stable-timing mode: when enabled, every wall-clock-derived field the
 /// runner records (InstanceEvaluation::runtime_ms, ExperimentCell::wall_ms,
-/// registry duration totals and the ScoringStats ms view) is forced to
-/// zero. Counts, metric values, and everything seeded stay untouched. This
-/// is what makes "resumed run == uninterrupted run" checkable *byte for
-/// byte*: timing is the only legitimately nondeterministic output, so the
-/// resume tests and the CI resume-smoke diff run with --stable-timing on
-/// both sides. Process-global, default off.
+/// registry duration totals) is forced to zero. Counts, metric values, and
+/// everything seeded stay untouched. This is what makes "resumed run ==
+/// uninterrupted run" checkable *byte for byte*: timing is the only
+/// legitimately nondeterministic output, so the resume tests and the CI
+/// resume-smoke diff run with --stable-timing on both sides.
+/// Process-global, default off.
 void SetStableTiming(bool stable);
 bool StableTiming();
 
 /// Forces every wall-clock-derived field of `cell` to zero (wall_ms,
-/// registry duration totals, the ScoringStats ms view, per-instance
-/// runtime_ms) — the normalization stable-timing mode applies to fresh and
-/// checkpoint-restored cells alike.
+/// registry duration totals, per-instance runtime_ms) — the normalization
+/// stable-timing mode applies to fresh and checkpoint-restored cells alike.
 struct ExperimentCell;
 void ZeroCellTimings(ExperimentCell* cell);
 
@@ -182,10 +180,9 @@ struct ExperimentCell {
   std::string variant;
   ExplainerAggregate aggregate;
   std::vector<InstanceEvaluation> instances;
-  ScoringStats scoring;  ///< engine counter delta while this cell ran
-  /// Full metrics-registry delta while this cell ran (per-stage counters,
-  /// stage durations, batch-size histogram buckets). `scoring` above is the
-  /// legacy view derived from the same delta, so the two always agree.
+  /// Full metrics-registry delta while this cell ran (scoring-engine
+  /// counters, per-stage counters, stage durations, batch-size histogram
+  /// buckets).
   MetricsSnapshot registry;
   double wall_ms = 0.0;
   /// Extra named values for cells that don't come from the standard

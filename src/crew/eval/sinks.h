@@ -12,18 +12,6 @@
 
 namespace crew {
 
-/// Structured consumer of an ExperimentResult. Experiments produce one
-/// result and hand it to any number of sinks (console table, JSON file,
-/// ...), replacing the hand-rolled accumulation + printf each bench used
-/// to carry. The concrete sinks below are thin adapters over the
-/// streaming path (StreamingSink): Consume() replays the finished result
-/// cell by cell, so batch and streamed emission share one code path.
-class ExperimentSink {
- public:
-  virtual ~ExperimentSink() = default;
-  virtual Status Consume(const ExperimentResult& result) = 0;
-};
-
 /// One table column: a header plus a formatter over a cell.
 struct TableColumn {
   std::string header;
@@ -41,17 +29,23 @@ TableColumn MetricColumn(std::string header, std::string key,
 /// Column reading a named value from ExperimentCell::notes.
 TableColumn NoteColumn(std::string header, std::string key);
 
-/// Column reading a metric's count from ExperimentCell::registry.
+/// Column reading a metric's count from ExperimentCell::registry. Cell
+/// deltas drop all-zero metrics, so an absent metric prints as 0.
 TableColumn RegistryCountColumn(std::string header, std::string metric);
 
 /// Column reading a duration metric's total milliseconds from
-/// ExperimentCell::registry.
+/// ExperimentCell::registry (0 when absent, as above).
 TableColumn RegistryMsColumn(std::string header, std::string metric,
                              int precision = 1);
 
-/// Renders a metrics snapshot (or delta) as a name/count/ms table —
-/// the "-- metrics --" block TableSink appends under --metrics.
+/// Renders a metrics snapshot (or delta) as a name/count/ms table.
 Table MetricsSnapshotTable(const MetricsSnapshot& snapshot);
+
+/// Prints the "-- metrics (summed over cells) --" table of the cells'
+/// registry deltas to `out` (nothing when every delta is empty) — the
+/// block --metrics appends under a bench's tables.
+void PrintSummedMetrics(const std::vector<ExperimentCell>& cells,
+                        std::FILE* out);
 
 /// Builds the aligned table for `cells` with a leading dataset and/or
 /// variant column.
@@ -59,21 +53,18 @@ Table MakeCellTable(const std::vector<ExperimentCell>& cells,
                     const std::vector<TableColumn>& columns,
                     bool dataset_column = true, bool variant_column = true);
 
-/// Prints the cell grid as an aligned table. As a StreamingSink it buffers
-/// cells in arrival order and renders once at OnEnd — everything the table
-/// shows travelled through the per-cell stream, so the streamed and batch
-/// paths cannot drift apart.
-class TableSink : public ExperimentSink, public StreamingSink {
+/// Prints the cell grid as an aligned table. It buffers cells in arrival
+/// order and renders once at OnEnd — everything the table shows travelled
+/// through the per-cell stream, so the streamed and batch paths cannot
+/// drift apart. A finished result is printed with ReplayResult(table,
+/// result).
+class TableSink : public StreamingSink {
  public:
   explicit TableSink(std::vector<TableColumn> columns,
                      bool dataset_column = true, bool variant_column = true,
                      std::FILE* out = stdout)
       : columns_(std::move(columns)), dataset_column_(dataset_column),
         variant_column_(variant_column), out_(out) {}
-
-  Status Consume(const ExperimentResult& result) override {
-    return ReplayResult(*this, result);
-  }
 
   Status OnBegin(const ExperimentResult& header) override;
   Status OnCell(const ExperimentCell& cell, bool restored) override;
@@ -109,36 +100,16 @@ class PartialTableSink : public StreamingSink {
   std::vector<ExperimentCell> cells_;
 };
 
-/// Serializes the full result (params, every aggregate field, per-instance
-/// AOPC samples, scoring counters, extra metrics/notes) as one
-/// self-describing JSON document — the machine-readable record each bench
-/// emits via --json so perf/quality trajectories can be captured
-/// mechanically.
+/// The --json document: {"header":<HeaderToJsonl>,"cells":[<CellToJsonl>,
+/// ...]} — the same records the JSONL stream and checkpoint carry, with
+/// empty scopes. Without include_metrics each cell's registry is emptied:
+/// its batch-size buckets follow the pool's chunking, so keeping them
+/// would make the document differ across --threads.
 std::string ExperimentResultToJson(const ExperimentResult& result);
 
 /// Writes ExperimentResultToJson to `path`.
 Status WriteExperimentJson(const ExperimentResult& result,
                            const std::string& path);
-
-/// File-writing sink over WriteExperimentJson. The streamed form
-/// reassembles the document from the header + buffered cells, so the
-/// emitted JSON is built purely from what crossed the stream.
-class JsonSink : public ExperimentSink, public StreamingSink {
- public:
-  explicit JsonSink(std::string path) : path_(std::move(path)) {}
-
-  Status Consume(const ExperimentResult& result) override {
-    return ReplayResult(*this, result);
-  }
-
-  Status OnBegin(const ExperimentResult& header) override;
-  Status OnCell(const ExperimentCell& cell, bool restored) override;
-  Status OnEnd(const ExperimentResult& result) override;
-
- private:
-  std::string path_;
-  ExperimentResult buffered_;
-};
 
 }  // namespace crew
 

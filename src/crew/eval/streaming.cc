@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #ifdef _WIN32
@@ -13,26 +14,12 @@
 #include <unistd.h>
 #endif
 
+#include "crew/common/json.h"
 #include "crew/common/logging.h"
 #include "crew/common/rng.h"
-#include "crew/explain/serialize.h"
 
 namespace crew {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Writing
-// ---------------------------------------------------------------------------
-
-std::string JsonStr(const std::string& s) {
-  std::string out;
-  out += '"';
-  out += JsonEscape(s);
-  out += '"';
-  return out;
-}
-
-const char* JsonBool(bool b) { return b ? "true" : "false"; }
 
 const char* MetricKindName(MetricKind kind) {
   switch (kind) {
@@ -53,39 +40,60 @@ Result<MetricKind> MetricKindFromName(const std::string& name) {
   return Status::DataLoss("unknown metric kind: " + name);
 }
 
+// ---------------------------------------------------------------------------
+// The record schema: every serialized field of every record type, listed
+// once, in emission order. The writer (AppendValue) and the parser
+// (ReadValue) both walk these lists, so a new field is one line here.
+// `Rec` is T or const T, so one list serves both directions.
+// ---------------------------------------------------------------------------
+
+template <class Rec, class T>
+concept RecordOf = std::is_same_v<std::remove_const_t<Rec>, T>;
+
+// The header line names the experiment; its cells follow as cell lines.
+template <RecordOf<ExperimentResult> H, class F>
+void Fields(H& h, F&& f) {
+  f("experiment", h.name);
+  f("params", h.params);
+}
+
 // Every ExplainerAggregate field, in declaration order. The aggregate is
 // checkpointed verbatim (rather than re-reduced on restore) so a restored
 // cell is bit-identical to the freshly computed one even if the reduction
 // ever changes between versions.
-void AppendAggregate(const ExplainerAggregate& agg, std::string* out) {
-  *out += "{\"name\":" + JsonStr(agg.name);
-  *out += ",\"instances\":" + std::to_string(agg.instances);
-  *out += ",\"aopc\":" + JsonDouble(agg.aopc);
-  *out += ",\"comprehensiveness_at_1\":" +
-          JsonDouble(agg.comprehensiveness_at_1);
-  *out += ",\"comprehensiveness_at_3\":" +
-          JsonDouble(agg.comprehensiveness_at_3);
-  *out += ",\"sufficiency_at_1\":" + JsonDouble(agg.sufficiency_at_1);
-  *out += ",\"sufficiency_at_3\":" + JsonDouble(agg.sufficiency_at_3);
-  *out += ",\"comprehensiveness_budget5\":" +
-          JsonDouble(agg.comprehensiveness_budget5);
-  *out += ",\"decision_flip_rate\":" + JsonDouble(agg.decision_flip_rate);
-  *out += ",\"insertion_aopc\":" + JsonDouble(agg.insertion_aopc);
-  *out += ",\"flip_set_rate\":" + JsonDouble(agg.flip_set_rate);
-  *out += ",\"flip_set_units\":" + JsonDouble(agg.flip_set_units);
-  *out += ",\"flip_set_tokens\":" + JsonDouble(agg.flip_set_tokens);
-  *out += ",\"total_units\":" + JsonDouble(agg.total_units);
-  *out += ",\"effective_units\":" + JsonDouble(agg.effective_units);
-  *out += ",\"words_per_unit\":" + JsonDouble(agg.words_per_unit);
-  *out += ",\"semantic_coherence\":" + JsonDouble(agg.semantic_coherence);
-  *out += ",\"attribute_purity\":" + JsonDouble(agg.attribute_purity);
-  *out += ",\"cluster_coherence\":" + JsonDouble(agg.cluster_coherence);
-  *out += ",\"cluster_silhouette\":" + JsonDouble(agg.cluster_silhouette);
-  *out += ",\"mean_chosen_k\":" + JsonDouble(agg.mean_chosen_k);
-  *out += ",\"stability\":" + JsonDouble(agg.stability);
-  *out += ",\"surrogate_r2\":" + JsonDouble(agg.surrogate_r2);
-  *out += ",\"runtime_ms\":" + JsonDouble(agg.runtime_ms);
-  *out += "}";
+template <RecordOf<ExplainerAggregate> A, class F>
+void Fields(A& a, F&& f) {
+  f("name", a.name);
+  f("instances", a.instances);
+  f("aopc", a.aopc);
+  f("comprehensiveness_at_1", a.comprehensiveness_at_1);
+  f("comprehensiveness_at_3", a.comprehensiveness_at_3);
+  f("sufficiency_at_1", a.sufficiency_at_1);
+  f("sufficiency_at_3", a.sufficiency_at_3);
+  f("comprehensiveness_budget5", a.comprehensiveness_budget5);
+  f("decision_flip_rate", a.decision_flip_rate);
+  f("insertion_aopc", a.insertion_aopc);
+  f("flip_set_rate", a.flip_set_rate);
+  f("flip_set_units", a.flip_set_units);
+  f("flip_set_tokens", a.flip_set_tokens);
+  f("total_units", a.total_units);
+  f("effective_units", a.effective_units);
+  f("words_per_unit", a.words_per_unit);
+  f("semantic_coherence", a.semantic_coherence);
+  f("attribute_purity", a.attribute_purity);
+  f("cluster_coherence", a.cluster_coherence);
+  f("cluster_silhouette", a.cluster_silhouette);
+  f("mean_chosen_k", a.mean_chosen_k);
+  f("stability", a.stability);
+  f("surrogate_r2", a.surrogate_r2);
+  f("runtime_ms", a.runtime_ms);
+}
+
+template <RecordOf<FlipSetResult> S, class F>
+void Fields(S& s, F&& f) {
+  f("flipped", s.flipped);
+  f("units_removed", s.units_removed);
+  f("tokens_removed", s.tokens_removed);
 }
 
 // Every InstanceEvaluation field. Benches re-reduce instances after the
@@ -93,55 +101,133 @@ void AppendAggregate(const ExplainerAggregate& agg, std::string* out) {
 // bootstrap over per-instance AOPC), so the checkpoint must carry full
 // per-instance fidelity — an aggregate-only record could not reproduce a
 // byte-identical --json document on resume.
-void AppendInstance(const InstanceEvaluation& r, std::string* out) {
-  *out += "{\"index\":" + std::to_string(r.index);
-  *out += ",\"evaluated\":";
-  *out += JsonBool(r.evaluated);
-  *out += ",\"predicted_match\":";
-  *out += JsonBool(r.predicted_match);
-  *out += ",\"aopc\":" + JsonDouble(r.aopc);
-  *out += ",\"comprehensiveness_at_1\":" +
-          JsonDouble(r.comprehensiveness_at_1);
-  *out += ",\"comprehensiveness_at_3\":" +
-          JsonDouble(r.comprehensiveness_at_3);
-  *out += ",\"sufficiency_at_1\":" + JsonDouble(r.sufficiency_at_1);
-  *out += ",\"sufficiency_at_3\":" + JsonDouble(r.sufficiency_at_3);
-  *out += ",\"comprehensiveness_budget\":" +
-          JsonDouble(r.comprehensiveness_budget);
-  *out += ",\"decision_flip\":";
-  *out += JsonBool(r.decision_flip);
-  *out += ",\"insertion_aopc\":" + JsonDouble(r.insertion_aopc);
-  *out += ",\"flip_set\":{\"flipped\":";
-  *out += JsonBool(r.flip_set.flipped);
-  *out += ",\"units_removed\":" + std::to_string(r.flip_set.units_removed);
-  *out += ",\"tokens_removed\":" + std::to_string(r.flip_set.tokens_removed);
-  *out += "}";
-  *out += ",\"curve\":[";
-  for (size_t i = 0; i < r.curve.size(); ++i) {
-    if (i > 0) *out += ",";
-    *out += JsonDouble(r.curve[i]);
+template <RecordOf<InstanceEvaluation> R, class F>
+void Fields(R& r, F&& f) {
+  f("index", r.index);
+  f("evaluated", r.evaluated);
+  f("predicted_match", r.predicted_match);
+  f("aopc", r.aopc);
+  f("comprehensiveness_at_1", r.comprehensiveness_at_1);
+  f("comprehensiveness_at_3", r.comprehensiveness_at_3);
+  f("sufficiency_at_1", r.sufficiency_at_1);
+  f("sufficiency_at_3", r.sufficiency_at_3);
+  f("comprehensiveness_budget", r.comprehensiveness_budget);
+  f("decision_flip", r.decision_flip);
+  f("insertion_aopc", r.insertion_aopc);
+  f("flip_set", r.flip_set);
+  f("curve", r.curve);
+  f("total_units", r.total_units);
+  f("effective_units", r.effective_units);
+  f("words_per_unit", r.words_per_unit);
+  f("semantic_coherence", r.semantic_coherence);
+  f("attribute_purity", r.attribute_purity);
+  f("has_cluster_stats", r.has_cluster_stats);
+  f("cluster_coherence", r.cluster_coherence);
+  f("cluster_silhouette", r.cluster_silhouette);
+  f("chosen_k", r.chosen_k);
+  f("stability", r.stability);
+  f("surrogate_r2", r.surrogate_r2);
+  f("runtime_ms", r.runtime_ms);
+}
+
+template <RecordOf<MetricEntry> M, class F>
+void Fields(M& m, F&& f) {
+  f("name", m.name);
+  f("kind", m.kind);
+  f("count", m.count);
+  f("ms", m.total_ms);
+}
+
+template <RecordOf<ExperimentCell> C, class F>
+void Fields(C& c, F&& f) {
+  f("dataset", c.dataset);
+  f("variant", c.variant);
+  f("aggregate", c.aggregate);
+  f("instances", c.instances);
+  f("registry", c.registry);
+  f("metrics", c.metrics);
+  f("notes", c.notes);
+  f("wall_ms", c.wall_ms);
+}
+
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+template <class T>
+inline constexpr bool kIsPair = false;
+template <class A, class B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+
+// ---------------------------------------------------------------------------
+// Writing: records are objects, vectors arrays, pairs two-element arrays,
+// doubles %.17g (see JsonDouble).
+// ---------------------------------------------------------------------------
+
+template <class T>
+void AppendValue(const T& v, std::string* out);
+
+// Appends `"key":value` for every field of `rec`, comma-separated from
+// whatever precedes it unless that is the object's opening brace.
+template <class Rec>
+void AppendFields(const Rec& rec, std::string* out) {
+  Fields(rec, [out](const char* key, const auto& value) {
+    if (out->back() != '{') *out += ',';
+    *out += '"';
+    *out += key;
+    *out += "\":";
+    AppendValue(value, out);
+  });
+}
+
+template <class T>
+void AppendValue(const T& v, std::string* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out += JsonStr(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *out += v ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    *out += JsonDouble(v);
+  } else if constexpr (std::is_integral_v<T>) {
+    *out += std::to_string(v);
+  } else if constexpr (std::is_same_v<T, MetricKind>) {
+    *out += JsonStr(MetricKindName(v));
+  } else if constexpr (kIsVector<T>) {
+    *out += '[';
+    for (size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) *out += ',';
+      AppendValue(v[i], out);
+    }
+    *out += ']';
+  } else if constexpr (kIsPair<T>) {
+    *out += '[';
+    AppendValue(v.first, out);
+    *out += ',';
+    AppendValue(v.second, out);
+    *out += ']';
+  } else {
+    *out += '{';
+    AppendFields(v, out);
+    *out += '}';
   }
-  *out += "]";
-  *out += ",\"total_units\":" + JsonDouble(r.total_units);
-  *out += ",\"effective_units\":" + JsonDouble(r.effective_units);
-  *out += ",\"words_per_unit\":" + JsonDouble(r.words_per_unit);
-  *out += ",\"semantic_coherence\":" + JsonDouble(r.semantic_coherence);
-  *out += ",\"attribute_purity\":" + JsonDouble(r.attribute_purity);
-  *out += ",\"has_cluster_stats\":";
-  *out += JsonBool(r.has_cluster_stats);
-  *out += ",\"cluster_coherence\":" + JsonDouble(r.cluster_coherence);
-  *out += ",\"cluster_silhouette\":" + JsonDouble(r.cluster_silhouette);
-  *out += ",\"chosen_k\":" + std::to_string(r.chosen_k);
-  *out += ",\"stability\":" + JsonDouble(r.stability);
-  *out += ",\"surrogate_r2\":" + JsonDouble(r.surrogate_r2);
-  *out += ",\"runtime_ms\":" + JsonDouble(r.runtime_ms);
-  *out += "}";
+}
+
+// "{"v":N,"kind":"<kind>"" — the open prefix every line starts with.
+std::string RecordStart(const char* kind) {
+  std::string out = "{\"v\":";  // += throughout: GCC 12 -Wrestrict (PR105651)
+  out += std::to_string(kCellSchemaVersion);
+  out += ",\"kind\":\"";
+  out += kind;
+  out += '"';
+  return out;
 }
 
 // ---------------------------------------------------------------------------
 // Reading: a minimal recursive-descent JSON parser. The stream is
 // machine-written by this file, so the parser only needs to be strict and
 // small, not featureful. Object field order is preserved (vector, not map).
+// Nesting is capped: the schema is 4 levels deep, and unbounded recursion
+// on a line of repeated '[' would overflow the stack.
 // ---------------------------------------------------------------------------
 
 struct JsonValue {
@@ -280,8 +366,15 @@ class JsonParser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      const Status status = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return status;
+    }
     if (c == '"') {
       out->type = JsonValue::Type::kString;
       return ParseString(&out->str);
@@ -341,189 +434,96 @@ class JsonParser {
     }
   }
 
+  static constexpr int kMaxDepth = 32;
+
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;
 };
 
-// -- typed field extraction (missing/mistyped fields are DataLoss) ---------
+// -- typed reading over the schema (missing/mistyped fields are DataLoss) --
 
-Status GetField(const JsonValue& obj, const char* key, const JsonValue** out) {
+template <class T>
+Status ReadValue(const JsonValue& j, T* out);
+
+template <class T>
+Status ReadField(const JsonValue& obj, const char* key, T* out) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) {
     return Status::DataLoss(std::string("missing field: ") + key);
   }
-  *out = v;
-  return Status::Ok();
-}
-
-Status GetString(const JsonValue& obj, const char* key, std::string* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type != JsonValue::Type::kString) {
-    return Status::DataLoss(std::string("field is not a string: ") + key);
+  const Status status = ReadValue(*v, out);
+  if (!status.ok()) {
+    return Status::DataLoss(std::string("field ") + key + ": " +
+                            status.message());
   }
-  *out = v->str;
-  return Status::Ok();
+  return status;
 }
 
-Status GetBool(const JsonValue& obj, const char* key, bool* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type != JsonValue::Type::kBool) {
-    return Status::DataLoss(std::string("field is not a bool: ") + key);
+template <class Rec>
+Status ReadFields(const JsonValue& obj, Rec* rec) {
+  if (obj.type != JsonValue::Type::kObject) {
+    return Status::DataLoss("not an object");
   }
-  *out = v->bool_value;
-  return Status::Ok();
+  Status status;
+  Fields(*rec, [&](const char* key, auto& value) {
+    if (status.ok()) status = ReadField(obj, key, &value);
+  });
+  return status;
 }
 
-// Numbers serialized as null are NaN (JSON cannot express non-finite
-// doubles); anything else must be a plain number.
-Status GetDouble(const JsonValue& obj, const char* key, double* out) {
-  const JsonValue* v = nullptr;
-  CREW_RETURN_IF_ERROR(GetField(obj, key, &v));
-  if (v->type == JsonValue::Type::kNull) {
-    *out = std::numeric_limits<double>::quiet_NaN();
-    return Status::Ok();
-  }
-  if (v->type != JsonValue::Type::kNumber) {
-    return Status::DataLoss(std::string("field is not a number: ") + key);
-  }
-  *out = v->number;
-  return Status::Ok();
-}
-
-Status GetInt(const JsonValue& obj, const char* key, int* out) {
-  double d = 0.0;
-  CREW_RETURN_IF_ERROR(GetDouble(obj, key, &d));
-  *out = static_cast<int>(d);
-  return Status::Ok();
-}
-
-Status GetInt64(const JsonValue& obj, const char* key, std::int64_t* out) {
-  double d = 0.0;
-  CREW_RETURN_IF_ERROR(GetDouble(obj, key, &d));
-  *out = static_cast<std::int64_t>(d);
-  return Status::Ok();
-}
-
-Status GetArray(const JsonValue& obj, const char* key, const JsonValue** out) {
-  CREW_RETURN_IF_ERROR(GetField(obj, key, out));
-  if ((*out)->type != JsonValue::Type::kArray) {
-    return Status::DataLoss(std::string("field is not an array: ") + key);
-  }
-  return Status::Ok();
-}
-
-Status GetObject(const JsonValue& obj, const char* key,
-                 const JsonValue** out) {
-  CREW_RETURN_IF_ERROR(GetField(obj, key, out));
-  if ((*out)->type != JsonValue::Type::kObject) {
-    return Status::DataLoss(std::string("field is not an object: ") + key);
-  }
-  return Status::Ok();
-}
-
-Status ParseAggregate(const JsonValue& v, ExplainerAggregate* agg) {
-  CREW_RETURN_IF_ERROR(GetString(v, "name", &agg->name));
-  CREW_RETURN_IF_ERROR(GetInt(v, "instances", &agg->instances));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "aopc", &agg->aopc));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_at_1",
-                                 &agg->comprehensiveness_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_at_3",
-                                 &agg->comprehensiveness_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_1", &agg->sufficiency_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_3", &agg->sufficiency_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_budget5",
-                                 &agg->comprehensiveness_budget5));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "decision_flip_rate", &agg->decision_flip_rate));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "insertion_aopc", &agg->insertion_aopc));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_rate", &agg->flip_set_rate));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_units", &agg->flip_set_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "flip_set_tokens", &agg->flip_set_tokens));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "total_units", &agg->total_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "effective_units", &agg->effective_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "words_per_unit", &agg->words_per_unit));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "semantic_coherence", &agg->semantic_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "attribute_purity", &agg->attribute_purity));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_coherence", &agg->cluster_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_silhouette", &agg->cluster_silhouette));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "mean_chosen_k", &agg->mean_chosen_k));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "stability", &agg->stability));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "surrogate_r2", &agg->surrogate_r2));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "runtime_ms", &agg->runtime_ms));
-  return Status::Ok();
-}
-
-Status ParseInstance(const JsonValue& v, InstanceEvaluation* r) {
-  CREW_RETURN_IF_ERROR(GetInt(v, "index", &r->index));
-  CREW_RETURN_IF_ERROR(GetBool(v, "evaluated", &r->evaluated));
-  CREW_RETURN_IF_ERROR(GetBool(v, "predicted_match", &r->predicted_match));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "aopc", &r->aopc));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "comprehensiveness_at_1", &r->comprehensiveness_at_1));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "comprehensiveness_at_3", &r->comprehensiveness_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_1", &r->sufficiency_at_1));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "sufficiency_at_3", &r->sufficiency_at_3));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "comprehensiveness_budget",
-                                 &r->comprehensiveness_budget));
-  CREW_RETURN_IF_ERROR(GetBool(v, "decision_flip", &r->decision_flip));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "insertion_aopc", &r->insertion_aopc));
-  const JsonValue* flip = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(v, "flip_set", &flip));
-  CREW_RETURN_IF_ERROR(GetBool(*flip, "flipped", &r->flip_set.flipped));
-  CREW_RETURN_IF_ERROR(
-      GetInt(*flip, "units_removed", &r->flip_set.units_removed));
-  CREW_RETURN_IF_ERROR(
-      GetInt(*flip, "tokens_removed", &r->flip_set.tokens_removed));
-  const JsonValue* curve = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(v, "curve", &curve));
-  r->curve.clear();
-  r->curve.reserve(curve->array.size());
-  for (const JsonValue& point : curve->array) {
-    if (point.type == JsonValue::Type::kNull) {
-      r->curve.push_back(std::numeric_limits<double>::quiet_NaN());
-    } else if (point.type == JsonValue::Type::kNumber) {
-      r->curve.push_back(point.number);
+template <class T>
+Status ReadValue(const JsonValue& j, T* out) {
+  using Type = JsonValue::Type;
+  if constexpr (std::is_same_v<T, std::string>) {
+    if (j.type != Type::kString) return Status::DataLoss("not a string");
+    *out = j.str;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    if (j.type != Type::kBool) return Status::DataLoss("not a bool");
+    *out = j.bool_value;
+  } else if constexpr (std::is_same_v<T, double>) {
+    // Non-finite doubles serialize as null (JSON cannot express them).
+    if (j.type == Type::kNull) {
+      *out = std::numeric_limits<double>::quiet_NaN();
+    } else if (j.type == Type::kNumber) {
+      *out = j.number;
     } else {
-      return Status::DataLoss("curve element is not a number");
+      return Status::DataLoss("not a number");
     }
-  }
-  CREW_RETURN_IF_ERROR(GetDouble(v, "total_units", &r->total_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "effective_units", &r->effective_units));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "words_per_unit", &r->words_per_unit));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "semantic_coherence", &r->semantic_coherence));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "attribute_purity", &r->attribute_purity));
-  CREW_RETURN_IF_ERROR(GetBool(v, "has_cluster_stats", &r->has_cluster_stats));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_coherence", &r->cluster_coherence));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(v, "cluster_silhouette", &r->cluster_silhouette));
-  CREW_RETURN_IF_ERROR(GetInt(v, "chosen_k", &r->chosen_k));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "stability", &r->stability));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "surrogate_r2", &r->surrogate_r2));
-  CREW_RETURN_IF_ERROR(GetDouble(v, "runtime_ms", &r->runtime_ms));
-  return Status::Ok();
-}
-
-Status ParseStringPairs(
-    const JsonValue& v, const char* what,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  for (const JsonValue& pair : v.array) {
-    if (pair.type != JsonValue::Type::kArray || pair.array.size() != 2 ||
-        pair.array[0].type != JsonValue::Type::kString ||
-        pair.array[1].type != JsonValue::Type::kString) {
-      return Status::DataLoss(std::string(what) +
-                              " entry is not a [string, string] pair");
+  } else if constexpr (std::is_integral_v<T>) {
+    // Casting NaN or an out-of-range double to an integer is undefined, so
+    // anything but an integral value T can hold is refused. 2^(bits-1) is
+    // exact as a double.
+    static_assert(std::is_signed_v<T>);
+    constexpr double kLimit =
+        -static_cast<double>(std::numeric_limits<T>::min());
+    if (j.type != Type::kNumber ||
+        !(j.number >= -kLimit && j.number < kLimit) ||
+        j.number != std::trunc(j.number)) {
+      return Status::DataLoss("not an integer in range");
     }
-    out->emplace_back(pair.array[0].str, pair.array[1].str);
+    *out = static_cast<T>(j.number);
+  } else if constexpr (std::is_same_v<T, MetricKind>) {
+    std::string name;
+    CREW_RETURN_IF_ERROR(ReadValue(j, &name));
+    Result<MetricKind> kind = MetricKindFromName(name);
+    if (!kind.ok()) return kind.status();
+    *out = *kind;
+  } else if constexpr (kIsVector<T>) {
+    if (j.type != Type::kArray) return Status::DataLoss("not an array");
+    out->clear();
+    out->resize(j.array.size());
+    for (size_t i = 0; i < j.array.size(); ++i) {
+      CREW_RETURN_IF_ERROR(ReadValue(j.array[i], &(*out)[i]));
+    }
+  } else if constexpr (kIsPair<T>) {
+    if (j.type != Type::kArray || j.array.size() != 2) {
+      return Status::DataLoss("not a two-element array");
+    }
+    CREW_RETURN_IF_ERROR(ReadValue(j.array[0], &out->first));
+    CREW_RETURN_IF_ERROR(ReadValue(j.array[1], &out->second));
+  } else {
+    return ReadFields(j, out);
   }
   return Status::Ok();
 }
@@ -570,91 +570,18 @@ std::string CellKey(const std::string& scope, const std::string& dataset,
 }
 
 std::string HeaderToJsonl(const ExperimentResult& header) {
-  // Built with += throughout: GCC 12's -Wrestrict false positive
-  // (PR105651) fires on `"literal" + std::to_string(...)` chains.
-  std::string out = "{\"v\":";
-  out += std::to_string(kCellSchemaVersion);
-  out += ",\"kind\":\"header\"";
-  out += ",\"experiment\":";
-  out += JsonStr(header.name);
-  out += ",\"params\":[";
-  for (size_t i = 0; i < header.params.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(header.params[i].first);
-    out += ',';
-    out += JsonStr(header.params[i].second);
-    out += ']';
-  }
-  out += "]}";
+  std::string out = RecordStart("header");
+  AppendFields(header, &out);
+  out += '}';
   return out;
 }
 
 std::string CellToJsonl(const std::string& scope, const ExperimentCell& cell) {
-  std::string out = "{\"v\":";  // += throughout; see HeaderToJsonl
-  out += std::to_string(kCellSchemaVersion);
-  out += ",\"kind\":\"cell\"";
+  std::string out = RecordStart("cell");
   out += ",\"scope\":";
   out += JsonStr(scope);
-  out += ",\"dataset\":";
-  out += JsonStr(cell.dataset);
-  out += ",\"variant\":";
-  out += JsonStr(cell.variant);
-  out += ",\"aggregate\":";
-  AppendAggregate(cell.aggregate, &out);
-  out += ",\"instances\":[";
-  for (size_t i = 0; i < cell.instances.size(); ++i) {
-    if (i > 0) out += ",";
-    AppendInstance(cell.instances[i], &out);
-  }
-  out += "]";
-  out += ",\"scoring\":{\"predictions\":";
-  out += std::to_string(cell.scoring.predictions);
-  out += ",\"batches\":";
-  out += std::to_string(cell.scoring.batches);
-  out += ",\"materialize_ms\":";
-  out += JsonDouble(cell.scoring.materialize_ms);
-  out += ",\"predict_ms\":";
-  out += JsonDouble(cell.scoring.predict_ms);
-  out += "}";
-  out += ",\"registry\":[";
-  for (size_t i = 0; i < cell.registry.size(); ++i) {
-    const MetricEntry& entry = cell.registry[i];
-    if (i > 0) out += ",";
-    out += "{\"name\":";
-    out += JsonStr(entry.name);
-    out += ",\"kind\":\"";
-    out += MetricKindName(entry.kind);
-    out += "\",\"count\":";
-    out += std::to_string(entry.count);
-    out += ",\"ms\":";
-    out += JsonDouble(entry.total_ms);
-    out += "}";
-  }
-  out += "]";
-  out += ",\"metrics\":[";
-  for (size_t i = 0; i < cell.metrics.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(cell.metrics[i].first);
-    out += ',';
-    out += JsonDouble(cell.metrics[i].second);
-    out += ']';
-  }
-  out += "]";
-  out += ",\"notes\":[";
-  for (size_t i = 0; i < cell.notes.size(); ++i) {
-    if (i > 0) out += ",";
-    out += '[';
-    out += JsonStr(cell.notes[i].first);
-    out += ',';
-    out += JsonStr(cell.notes[i].second);
-    out += ']';
-  }
-  out += "]";
-  out += ",\"wall_ms\":";
-  out += JsonDouble(cell.wall_ms);
-  out += "}";
+  AppendFields(cell, &out);
+  out += '}';
   return out;
 }
 
@@ -671,106 +598,34 @@ Result<CellRecord> ParseCellRecord(const std::string& line) {
   // Version first: a wrong version is a schema mismatch
   // (kFailedPrecondition), which callers treat as fatal even on the
   // trailing line, unlike the DataLoss a torn write produces.
-  const JsonValue* version = root.Find("v");
-  if (version == nullptr || version->type != JsonValue::Type::kNumber) {
-    return Status::DataLoss("record has no version field");
-  }
-  record.version = static_cast<int>(version->number);
+  CREW_RETURN_IF_ERROR(ReadField(root, "v", &record.version));
   if (record.version != kCellSchemaVersion) {
     return Status::FailedPrecondition(
         "unsupported cell schema version " + std::to_string(record.version) +
         " (expected " + std::to_string(kCellSchemaVersion) + ")");
   }
-  CREW_RETURN_IF_ERROR(GetString(root, "kind", &record.kind));
+  CREW_RETURN_IF_ERROR(ReadField(root, "kind", &record.kind));
 
   if (record.kind == "header") {
-    CREW_RETURN_IF_ERROR(GetString(root, "experiment", &record.experiment));
-    const JsonValue* params = nullptr;
-    CREW_RETURN_IF_ERROR(GetArray(root, "params", &params));
-    CREW_RETURN_IF_ERROR(ParseStringPairs(*params, "params", &record.params));
+    ExperimentResult header;
+    CREW_RETURN_IF_ERROR(ReadFields(root, &header));
+    record.experiment = std::move(header.name);
+    record.params = std::move(header.params);
     return record;
   }
   if (record.kind != "cell") {
     return Status::DataLoss("unknown record kind: " + record.kind);
   }
-
-  CREW_RETURN_IF_ERROR(GetString(root, "scope", &record.scope));
-  ExperimentCell& cell = record.cell;
-  CREW_RETURN_IF_ERROR(GetString(root, "dataset", &cell.dataset));
-  CREW_RETURN_IF_ERROR(GetString(root, "variant", &cell.variant));
-  const JsonValue* aggregate = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(root, "aggregate", &aggregate));
-  CREW_RETURN_IF_ERROR(ParseAggregate(*aggregate, &cell.aggregate));
-  const JsonValue* instances = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "instances", &instances));
-  cell.instances.clear();
-  cell.instances.reserve(instances->array.size());
-  for (const JsonValue& inst : instances->array) {
-    if (inst.type != JsonValue::Type::kObject) {
-      return Status::DataLoss("instance entry is not an object");
-    }
-    InstanceEvaluation r;
-    CREW_RETURN_IF_ERROR(ParseInstance(inst, &r));
-    cell.instances.push_back(std::move(r));
-  }
-  const JsonValue* scoring = nullptr;
-  CREW_RETURN_IF_ERROR(GetObject(root, "scoring", &scoring));
-  CREW_RETURN_IF_ERROR(
-      GetInt64(*scoring, "predictions", &cell.scoring.predictions));
-  CREW_RETURN_IF_ERROR(GetInt64(*scoring, "batches", &cell.scoring.batches));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(*scoring, "materialize_ms", &cell.scoring.materialize_ms));
-  CREW_RETURN_IF_ERROR(
-      GetDouble(*scoring, "predict_ms", &cell.scoring.predict_ms));
-  const JsonValue* registry = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "registry", &registry));
-  cell.registry.clear();
-  cell.registry.reserve(registry->array.size());
-  for (const JsonValue& entry : registry->array) {
-    if (entry.type != JsonValue::Type::kObject) {
-      return Status::DataLoss("registry entry is not an object");
-    }
-    MetricEntry m;
-    CREW_RETURN_IF_ERROR(GetString(entry, "name", &m.name));
-    std::string kind;
-    CREW_RETURN_IF_ERROR(GetString(entry, "kind", &kind));
-    Result<MetricKind> parsed_kind = MetricKindFromName(kind);
-    if (!parsed_kind.ok()) return parsed_kind.status();
-    m.kind = *parsed_kind;
-    CREW_RETURN_IF_ERROR(GetInt64(entry, "count", &m.count));
-    CREW_RETURN_IF_ERROR(GetDouble(entry, "ms", &m.total_ms));
-    cell.registry.push_back(std::move(m));
-  }
+  CREW_RETURN_IF_ERROR(ReadField(root, "scope", &record.scope));
+  CREW_RETURN_IF_ERROR(ReadFields(root, &record.cell));
   // Canonicalize: snapshots are name-sorted by contract, and the --metrics
   // sum as well as the "registry" JSON block iterate in stored order, so a
   // restored cell must never depend on how the shard happened to order its
   // entries (e.g. after a hand-merged file).
-  std::sort(cell.registry.begin(), cell.registry.end(),
+  std::sort(record.cell.registry.begin(), record.cell.registry.end(),
             [](const MetricEntry& a, const MetricEntry& b) {
               return a.name < b.name;
             });
-  const JsonValue* metrics = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "metrics", &metrics));
-  cell.metrics.clear();
-  for (const JsonValue& pair : metrics->array) {
-    if (pair.type != JsonValue::Type::kArray || pair.array.size() != 2 ||
-        pair.array[0].type != JsonValue::Type::kString) {
-      return Status::DataLoss("metrics entry is not a [string, number] pair");
-    }
-    double value = 0.0;
-    if (pair.array[1].type == JsonValue::Type::kNull) {
-      value = std::numeric_limits<double>::quiet_NaN();
-    } else if (pair.array[1].type == JsonValue::Type::kNumber) {
-      value = pair.array[1].number;
-    } else {
-      return Status::DataLoss("metrics entry is not a [string, number] pair");
-    }
-    cell.metrics.emplace_back(pair.array[0].str, value);
-  }
-  const JsonValue* notes = nullptr;
-  CREW_RETURN_IF_ERROR(GetArray(root, "notes", &notes));
-  CREW_RETURN_IF_ERROR(ParseStringPairs(*notes, "notes", &cell.notes));
-  CREW_RETURN_IF_ERROR(GetDouble(root, "wall_ms", &cell.wall_ms));
   return record;
 }
 

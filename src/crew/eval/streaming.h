@@ -16,7 +16,7 @@ namespace crew {
 /// refuse any other value (schema evolution must be explicit), with one
 /// exception: a corrupted or truncated *trailing* line — the artifact of a
 /// crash mid-append — is dropped, not refused (see CheckpointStore::Load).
-inline constexpr int kCellSchemaVersion = 1;
+inline constexpr int kCellSchemaVersion = 2;
 
 /// Key identifying one grid cell across processes and restarts:
 /// "[scope|]dataset|variant". `scope` disambiguates repeated grids over
@@ -49,12 +49,11 @@ struct CellRecord {
 /// position (trailing vs interior) makes that recoverable.
 Result<CellRecord> ParseCellRecord(const std::string& line);
 
-/// Structured consumer of cells *as they finish* — the streaming
-/// counterpart of ExperimentSink. The runner calls OnBegin once before the
-/// first cell, OnCell for every cell in completion order (restored = the
-/// cell was read back from a checkpoint rather than computed), and OnEnd
-/// with the assembled result. Default implementations make every hook
-/// optional except OnCell.
+/// Structured consumer of cells *as they finish*. The runner calls OnBegin
+/// once before the first cell, OnCell for every cell in completion order
+/// (restored = the cell was read back from a checkpoint rather than
+/// computed), and OnEnd with the assembled result. Default implementations
+/// make every hook optional except OnCell.
 class StreamingSink {
  public:
   virtual ~StreamingSink() = default;
@@ -242,9 +241,8 @@ class CellStreamer {
 };
 
 /// Replays a finished result through a streaming sink: OnBegin, every cell
-/// in order, OnEnd. This is how the one-shot ExperimentSink adapters
-/// (TableSink/JsonSink) consume results — one code path for streamed and
-/// batch emission.
+/// in order, OnEnd. This is how a finished result reaches a TableSink —
+/// one code path for streamed and batch emission.
 Status ReplayResult(StreamingSink& sink, const ExperimentResult& result);
 
 }  // namespace crew

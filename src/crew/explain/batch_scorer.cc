@@ -102,32 +102,7 @@ void ScoreMaterialized(const Matcher& matcher, int n,
   ParallelFor(SharedScoringPool(), n, work);
 }
 
-std::int64_t MetricCount(const MetricsSnapshot& snapshot, const char* name) {
-  const MetricEntry* entry = FindMetric(snapshot, name);
-  return entry == nullptr ? 0 : entry->count;
-}
-
-double MetricMs(const MetricsSnapshot& snapshot, const char* name) {
-  const MetricEntry* entry = FindMetric(snapshot, name);
-  return entry == nullptr ? 0.0 : entry->total_ms;
-}
-
 }  // namespace
-
-ScoringStats ScoringStatsFromMetrics(const MetricsSnapshot& snapshot) {
-  ScoringStats stats;
-  stats.predictions = MetricCount(snapshot, "crew/scoring/predictions");
-  stats.batches = MetricCount(snapshot, "crew/scoring/batches");
-  stats.materialize_ms = MetricMs(snapshot, "crew/scoring/materialize");
-  stats.predict_ms = MetricMs(snapshot, "crew/scoring/predict");
-  return stats;
-}
-
-ScoringStats GlobalScoringStats() {
-  return ScoringStatsFromMetrics(MetricsRegistry::Global().Snapshot());
-}
-
-void ResetScoringStats() { MetricsRegistry::Global().Reset(); }
 
 void BatchScorer::ScoreKeepMasks(const std::vector<std::vector<bool>>& keeps,
                                  std::vector<double>* out) const {

@@ -1,45 +1,12 @@
 #ifndef CREW_EXPLAIN_BATCH_SCORER_H_
 #define CREW_EXPLAIN_BATCH_SCORER_H_
 
-#include <cstdint>
 #include <vector>
 
-#include "crew/common/metrics.h"
 #include "crew/explain/token_view.h"
 #include "crew/model/matcher.h"
 
 namespace crew {
-
-/// Process-wide counters for the batch scoring engine (reset + snapshot
-/// from benches; see bench_f4_runtime). Stage times are summed across
-/// worker threads, so with T threads they can exceed wall time — they
-/// answer "where does the scoring work go", wall clock answers "how fast".
-///
-/// This struct is now a *view* over the metrics registry (see
-/// crew/common/metrics.h): the engine records into named registry metrics
-/// ("crew/scoring/predictions", "crew/scoring/batches",
-/// "crew/scoring/materialize", "crew/scoring/predict", plus a
-/// "crew/scoring/batch_size" histogram and per-stage
-/// "crew/scoring/predictions/<stage>" counters), and ScoringStats is
-/// reconstructed from a snapshot. The old API is kept as a shim.
-struct ScoringStats {
-  std::int64_t predictions = 0;  ///< matcher scores issued through the engine
-  std::int64_t batches = 0;      ///< ScoreKeepMasks/ScorePairs/... calls
-  double materialize_ms = 0.0;   ///< keep-mask -> RecordPair reconstruction
-  double predict_ms = 0.0;       ///< Matcher::PredictProbaBatch time
-};
-
-/// Snapshot of the global counters (shim over MetricsRegistry::Global()).
-ScoringStats GlobalScoringStats();
-
-/// Resets the registry epoch (all metrics, not just scoring — the registry
-/// reset is global and atomic; see MetricsRegistry::Reset()).
-void ResetScoringStats();
-
-/// Extracts the scoring-engine view from any registry snapshot. Lets
-/// callers that already hold a snapshot (or a MetricsDelta) derive
-/// ScoringStats without re-reading the registry.
-ScoringStats ScoringStatsFromMetrics(const MetricsSnapshot& snapshot);
 
 /// The one funnel between explainers and the matcher: materializes
 /// interpretable-space perturbations (keep / injection masks) into record
@@ -50,6 +17,12 @@ ScoringStats ScoringStatsFromMetrics(const MetricsSnapshot& snapshot);
 /// functions and writes results by index, so output is bit-identical for
 /// any thread count. All randomness (mask generation) stays with the
 /// caller, which runs single-threaded.
+///
+/// Work is recorded in the metrics registry (crew/common/metrics.h):
+/// "crew/scoring/predictions" (split per stage into
+/// "crew/scoring/predictions/<stage>"), "crew/scoring/batches", the
+/// "crew/scoring/materialize" and "crew/scoring/predict" durations (summed
+/// across worker threads), and the "crew/scoring/batch_size" histogram.
 class BatchScorer {
  public:
   /// Pair-scoring only (ScorePairs); mask methods require a view.

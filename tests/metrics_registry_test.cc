@@ -1,8 +1,8 @@
 // Tests for the process-wide metrics registry: counter/duration/histogram
 // snapshot behavior, deterministic (sorted) snapshot ordering, the atomic
 // Reset() epoch (no increment may be lost or double-counted when resets
-// race with writers — the TSan job runs this file), the ScoringStats shim,
-// and the thread-local stage label.
+// race with writers — the TSan job runs this file), and the thread-local
+// stage label.
 //
 // The registry is a process singleton, so every test uses metric names
 // unique to itself and asserts on deltas rather than absolute totals.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "crew/common/logging.h"
-#include "crew/explain/batch_scorer.h"
 
 namespace crew {
 namespace {
@@ -134,7 +133,7 @@ TEST(MetricsRegistryTest, ResetRebasesWithoutLosingIncrements) {
   // never neither. Hammer a counter from several threads while another
   // thread resets in a loop, then check the captured deltas plus the final
   // snapshot account for every increment exactly once. Run under TSan to
-  // cover the original ScoringStats reset race.
+  // cover the reset race.
   MetricsRegistry& reg = MetricsRegistry::Global();
   Counter* c = reg.GetCounter("test/registry/reset_race");
   // Rebase so earlier tests' writes to other metrics don't matter; we only
@@ -271,30 +270,6 @@ TEST(ScopedMetricStageTest, IsThreadLocal) {
   t.join();
   EXPECT_STREQ(seen, "other");  // the label never leaks across threads
   EXPECT_STREQ(CurrentMetricStage(), "attribution");
-}
-
-TEST(ScoringStatsShimTest, ViewsTheRegistry) {
-  // GlobalScoringStats must be exactly the scoring entries of a registry
-  // snapshot, and ScoringStatsFromMetrics must agree when handed that
-  // snapshot directly.
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const ScoringStats before = GlobalScoringStats();
-  reg.GetCounter("crew/scoring/predictions")->Add(7);
-  reg.GetCounter("crew/scoring/batches")->Add(2);
-  reg.GetDuration("crew/scoring/materialize")->Add(0.010);
-  reg.GetDuration("crew/scoring/predict")->Add(0.020);
-  const ScoringStats after = GlobalScoringStats();
-  EXPECT_EQ(after.predictions - before.predictions, 7);
-  EXPECT_EQ(after.batches - before.batches, 2);
-  EXPECT_NEAR(after.materialize_ms - before.materialize_ms, 10.0, 1e-6);
-  EXPECT_NEAR(after.predict_ms - before.predict_ms, 20.0, 1e-6);
-
-  const ScoringStats from_snapshot =
-      ScoringStatsFromMetrics(reg.Snapshot());
-  EXPECT_EQ(from_snapshot.predictions, after.predictions);
-  EXPECT_EQ(from_snapshot.batches, after.batches);
-  EXPECT_NEAR(from_snapshot.materialize_ms, after.materialize_ms, 1e-6);
-  EXPECT_NEAR(from_snapshot.predict_ms, after.predict_ms, 1e-6);
 }
 
 }  // namespace

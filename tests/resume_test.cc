@@ -81,7 +81,11 @@ TEST(ResumeTest, KilledThenResumedGridIsByteIdentical) {
     ScopedScoringThreads scoped(threads);
     auto clean = MakeRunner().Run();
     ASSERT_TRUE(clean.ok()) << "threads=" << threads;
+    // With include_metrics the document also carries every cell's
+    // registry delta, which must survive the checkpoint unchanged too.
     const std::string clean_json = ExperimentResultToJson(*clean);
+    clean->include_metrics = true;
+    const std::string clean_metrics_json = ExperimentResultToJson(*clean);
 
     for (int kill_after : {0, 1, 2, kGridCells - 1}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -118,6 +122,8 @@ TEST(ResumeTest, KilledThenResumedGridIsByteIdentical) {
       ASSERT_TRUE(resumed.ok());
       EXPECT_EQ(checkpoint.done_cells(), kGridCells);
       EXPECT_EQ(ExperimentResultToJson(*resumed), clean_json);
+      resumed->include_metrics = true;
+      EXPECT_EQ(ExperimentResultToJson(*resumed), clean_metrics_json);
       std::remove(path.c_str());
     }
   }

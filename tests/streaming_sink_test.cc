@@ -1,11 +1,11 @@
 // Tests for the streaming execution layer's serialization and sinks: the
-// JSONL v1 schema is pinned by golden lines (a change that breaks old
+// JSONL v2 schema is pinned by golden lines (a change that breaks old
 // shards must show up here and bump kCellSchemaVersion), records round-trip
-// with full fidelity, JsonlStreamSink appends in completion order, the
-// partial-table sink renders after every cell, and CheckpointStore
-// recovers from exactly the corruption a crash can produce — a torn
-// trailing line — while refusing interior corruption and schema-version
-// mismatches anywhere.
+// with full fidelity, the --json document is built from the same records,
+// JsonlStreamSink appends in completion order, the partial-table sink
+// renders after every cell, and CheckpointStore recovers from exactly the
+// corruption a crash can produce — a torn trailing line — while refusing
+// interior corruption and schema-version mismatches anywhere.
 
 #include "crew/eval/streaming.h"
 
@@ -63,8 +63,6 @@ ExperimentCell SampleCell() {
   r.aopc = 0.5;
   r.curve = {0.5, 1.0};
   cell.instances.push_back(r);
-  cell.scoring.predictions = 4;
-  cell.scoring.batches = 2;
   cell.registry.push_back({"m", MetricKind::kCounter, 2, 0.0});
   cell.metrics.push_back({"f1", 0.5});
   cell.notes.push_back({"k", "val"});
@@ -80,13 +78,13 @@ ExperimentResult SampleHeader() {
 
 TEST(CellJsonlTest, HeaderGoldenLine) {
   EXPECT_EQ(HeaderToJsonl(SampleHeader()),
-            "{\"v\":1,\"kind\":\"header\",\"experiment\":\"golden\","
+            "{\"v\":2,\"kind\":\"header\",\"experiment\":\"golden\","
             "\"params\":[[\"seed\",\"7\"],[\"matcher\",\"mlp\"]]}");
 }
 
 TEST(CellJsonlTest, CellGoldenLine) {
   const std::string golden =
-      "{\"v\":1,\"kind\":\"cell\",\"scope\":\"s\",\"dataset\":\"d\","
+      "{\"v\":2,\"kind\":\"cell\",\"scope\":\"s\",\"dataset\":\"d\","
       "\"variant\":\"v\",\"aggregate\":{\"name\":\"v\",\"instances\":1,"
       "\"aopc\":0.25,\"comprehensiveness_at_1\":0,"
       "\"comprehensiveness_at_3\":0,\"sufficiency_at_1\":0,"
@@ -108,8 +106,7 @@ TEST(CellJsonlTest, CellGoldenLine) {
       "\"attribute_purity\":0,\"has_cluster_stats\":false,"
       "\"cluster_coherence\":0,\"cluster_silhouette\":0,\"chosen_k\":0,"
       "\"stability\":0,\"surrogate_r2\":0,\"runtime_ms\":0}],"
-      "\"scoring\":{\"predictions\":4,\"batches\":2,\"materialize_ms\":0,"
-      "\"predict_ms\":0},\"registry\":[{\"name\":\"m\",\"kind\":\"counter\","
+      "\"registry\":[{\"name\":\"m\",\"kind\":\"counter\","
       "\"count\":2,\"ms\":0}],\"metrics\":[[\"f1\",0.5]],"
       "\"notes\":[[\"k\",\"val\"]],\"wall_ms\":0}";
   EXPECT_EQ(CellToJsonl("s", SampleCell()), golden);
@@ -133,8 +130,6 @@ TEST(CellJsonlTest, CellRoundTripsThroughParse) {
   EXPECT_TRUE(back.instances[0].evaluated);
   EXPECT_EQ(back.instances[0].aopc, 0.5);
   EXPECT_EQ(back.instances[0].curve, (std::vector<double>{0.5, 1.0}));
-  EXPECT_EQ(back.scoring.predictions, 4);
-  EXPECT_EQ(back.scoring.batches, 2);
   ASSERT_EQ(back.registry.size(), 1u);
   EXPECT_EQ(back.registry[0].name, "m");
   EXPECT_EQ(back.registry[0].kind, MetricKind::kCounter);
@@ -163,9 +158,102 @@ TEST(CellJsonlTest, VersionMismatchIsFailedPrecondition) {
 }
 
 TEST(CellJsonlTest, GarbageIsDataLoss) {
-  auto record = ParseCellRecord("{\"v\":1,\"kind\":\"cell\",\"data");
+  auto record = ParseCellRecord("{\"v\":2,\"kind\":\"cell\",\"data");
   ASSERT_FALSE(record.ok());
   EXPECT_EQ(record.status().code(), StatusCode::kDataLoss);
+}
+
+// `line` with its first occurrence of `from` replaced by `to`.
+std::string ReplaceOnce(const std::string& line, const std::string& from,
+                        const std::string& to) {
+  const size_t pos = line.find(from);
+  CREW_CHECK(pos != std::string::npos);
+  std::string out = line.substr(0, pos);
+  out += to;
+  out += line.substr(pos + from.size());
+  return out;
+}
+
+void ExpectDataLoss(const std::string& line) {
+  auto record = ParseCellRecord(line);
+  ASSERT_FALSE(record.ok()) << line;
+  EXPECT_EQ(record.status().code(), StatusCode::kDataLoss)
+      << record.status().ToString();
+}
+
+// Far deeper than any stack could recurse; the parser must refuse it at
+// its nesting cap instead of overflowing.
+const std::string& DeeplyNestedLine() {
+  static const std::string* line = new std::string(1000000, '[');
+  return *line;
+}
+
+TEST(CellJsonlTest, DeepNestingIsDataLoss) {
+  ExpectDataLoss(DeeplyNestedLine());
+}
+
+// Integer fields accept only integral numbers their type can hold:
+// casting null (NaN), a fraction or an out-of-range double is undefined.
+TEST(CellJsonlTest, BadVersionIntegerIsDataLoss) {
+  for (const char* bad : {"1e300", "-1e300", "2.5", "null"}) {
+    std::string line = "{\"v\":";
+    line += bad;
+    line += ",\"kind\":\"cell\"}";
+    ExpectDataLoss(line);
+  }
+}
+
+TEST(CellJsonlTest, BadInstanceIndexIsDataLoss) {
+  const std::string line = CellToJsonl("", SampleCell());
+  for (const char* bad : {"1e300", "3.5", "null", "2147483648"}) {
+    ExpectDataLoss(
+        ReplaceOnce(line, "\"index\":3", std::string("\"index\":") + bad));
+  }
+}
+
+TEST(CellJsonlTest, BadRegistryCountIsDataLoss) {
+  const std::string line = CellToJsonl("", SampleCell());
+  for (const char* bad : {"1e300", "-1e19", "2.5", "null"}) {
+    ExpectDataLoss(
+        ReplaceOnce(line, "\"count\":2", std::string("\"count\":") + bad));
+  }
+}
+
+TEST(ExperimentJsonTest, CellsAreTheCheckpointRecords) {
+  // --json is the header record plus one cell record per cell, written by
+  // the same code as the JSONL stream; without --metrics the registry is
+  // emptied. Every element parses back to the cell it was written from.
+  ExperimentResult result = SampleHeader();
+  result.cells.push_back(SampleCell());
+  ExperimentCell second = SampleCell();
+  second.variant = "w";
+  second.instances.clear();
+  result.cells.push_back(second);
+  for (bool include_metrics : {false, true}) {
+    SCOPED_TRACE(include_metrics ? "include_metrics" : "no metrics");
+    result.include_metrics = include_metrics;
+    std::string expected = "{\"header\":";
+    expected += HeaderToJsonl(result);
+    expected += ",\"cells\":[";
+    std::vector<std::string> lines;
+    for (const ExperimentCell& cell : result.cells) {
+      ExperimentCell written = cell;
+      if (!include_metrics) written.registry.clear();
+      lines.push_back(CellToJsonl("", written));
+      if (lines.size() > 1) expected += ',';
+      expected += lines.back();
+    }
+    expected += "]}";
+    const std::string json = ExperimentResultToJson(result);
+    EXPECT_EQ(json, expected);
+    EXPECT_EQ(json.find("\"registry\":[]") == std::string::npos,
+              include_metrics);
+    for (const std::string& line : lines) {
+      auto record = ParseCellRecord(line);
+      ASSERT_TRUE(record.ok()) << record.status().ToString();
+      EXPECT_EQ(CellToJsonl("", record->cell), line);
+    }
+  }
 }
 
 TEST(JsonlStreamSinkTest, AppendsHeaderThenCellsInOrder) {
@@ -247,7 +335,7 @@ TEST(CheckpointStoreTest, TornTrailingLineIsDroppedAndTruncated) {
   const std::string good = HeaderToJsonl(SampleHeader()) + "\n" +
                            CellToJsonl("", SampleCell()) + "\n";
   // A crash mid-append leaves an unterminated prefix of the next line.
-  WriteFileOrDie(path, good + "{\"v\":1,\"kind\":\"ce");
+  WriteFileOrDie(path, good + "{\"v\":2,\"kind\":\"ce");
   CheckpointStore store(path);
   ASSERT_TRUE(store.Load().ok());
   EXPECT_EQ(store.done_cells(), 1);
@@ -265,7 +353,7 @@ TEST(CheckpointStoreTest, TerminatedGarbageTailIsAlsoDropped) {
   const std::string path = TempPath("ckpt_garbage_tail.jsonl");
   const std::string good = HeaderToJsonl(SampleHeader()) + "\n" +
                            CellToJsonl("", SampleCell()) + "\n";
-  WriteFileOrDie(path, good + "{\"v\":1,\"kind\":\"cell\",\"broken\n");
+  WriteFileOrDie(path, good + "{\"v\":2,\"kind\":\"cell\",\"broken\n");
   CheckpointStore store(path);
   ASSERT_TRUE(store.Load().ok());
   EXPECT_EQ(store.done_cells(), 1);
@@ -282,6 +370,30 @@ TEST(CheckpointStoreTest, InteriorCorruptionIsAnError) {
   const Status status = store.Load();
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointStoreTest, DeeplyNestedInteriorLineIsAnError) {
+  const std::string path = TempPath("ckpt_deep_interior.jsonl");
+  WriteFileOrDie(path, HeaderToJsonl(SampleHeader()) + "\n" +
+                           DeeplyNestedLine() + "\n" +
+                           CellToJsonl("", SampleCell()) + "\n");
+  CheckpointStore store(path);
+  const Status status = store.Load();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointStoreTest, DeeplyNestedLastLineIsDroppedAndTruncated) {
+  const std::string path = TempPath("ckpt_deep_tail.jsonl");
+  const std::string good = HeaderToJsonl(SampleHeader()) + "\n" +
+                           CellToJsonl("", SampleCell()) + "\n";
+  WriteFileOrDie(path, good + DeeplyNestedLine() + "\n");
+  CheckpointStore store(path);
+  ASSERT_TRUE(store.Load().ok());
+  EXPECT_EQ(store.done_cells(), 1);
+  EXPECT_EQ(ReadFileOrDie(path), good);
   std::remove(path.c_str());
 }
 
@@ -341,10 +453,10 @@ TEST(FaultInjectorTest, SeedArmingIsDeterministicAndInRange) {
   }
 }
 
-TEST(ReplayResultTest, TableSinkConsumeMatchesStreamedCells) {
-  // The one-shot adapters replay through the streaming interface, so a
-  // manual OnBegin/OnCell/OnEnd drive must render the same table as
-  // Consume().
+TEST(ReplayResultTest, TableSinkReplayMatchesStreamedCells) {
+  // A finished result reaches a TableSink through the streaming
+  // interface, so a manual OnBegin/OnCell/OnEnd drive must render the same
+  // table as ReplayResult().
   ExperimentResult result;
   result.name = "replay";
   result.cells.push_back(SampleCell());
@@ -364,7 +476,7 @@ TEST(ReplayResultTest, TableSinkConsumeMatchesStreamedCells) {
       }
       CREW_CHECK(sink.OnEnd(result).ok());
     } else {
-      CREW_CHECK(sink.Consume(result).ok());
+      CREW_CHECK(ReplayResult(sink, result).ok());
     }
     std::rewind(out);
     std::string text;

@@ -32,7 +32,7 @@ import os
 import sys
 import tempfile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class MergeError(Exception):
@@ -184,12 +184,12 @@ def run(argv, out=sys.stdout):
 # ---------------------------------------------------------------------------
 
 def _header(experiment="exp"):
-    return json.dumps({"v": 1, "kind": "header", "experiment": experiment,
+    return json.dumps({"v": SCHEMA_VERSION, "kind": "header", "experiment": experiment,
                        "params": []}, separators=(",", ":"))
 
 
 def _cell(dataset, variant, scope="", aopc=0.0):
-    return json.dumps({"v": 1, "kind": "cell", "scope": scope,
+    return json.dumps({"v": SCHEMA_VERSION, "kind": "cell", "scope": scope,
                        "dataset": dataset, "variant": variant,
                        "aggregate": {"aopc": aopc}},
                       separators=(",", ":"))
@@ -260,18 +260,20 @@ def self_test():
         _expect_raises(lambda: run(["--check", a, exp2], out=io.StringIO()),
                        "does not match")
 
-        # Version mismatch is fatal anywhere.
-        vbad = _write(tmp, "vbad.jsonl",
-                      _header() + "\n" +
-                      '{"v":999,"kind":"cell","dataset":"d","variant":"v"}'
-                      + "\n")
-        _expect_raises(lambda: run(["--check", vbad], out=io.StringIO()),
-                       "unsupported schema version")
+        # Version mismatch is fatal anywhere, including a v1 shard.
+        for stale in (999, 1):
+            vbad = _write(tmp, "vbad.jsonl",
+                          _header() + "\n" +
+                          f'{{"v":{stale},"kind":"cell","dataset":"d",'
+                          '"variant":"v"}\n')
+            _expect_raises(lambda: run(["--check", vbad],
+                                       out=io.StringIO()),
+                           "unsupported schema version")
 
         # An unterminated trailing line (crash artifact) is dropped...
         torn = _write(tmp, "torn.jsonl",
                       _header() + "\n" + _cell("d1", "v1") + "\n" +
-                      '{"v":1,"kind":"ce')
+                      '{"v":2,"kind":"ce')
         out = io.StringIO()
         run(["--check", torn], out=out)
         assert "1 cell(s)" in out.getvalue(), out.getvalue()

@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Validates the metrics registry block in a bench --json output.
+"""Validates the metrics registry blocks in a bench --json output.
 
-For every cell with a "registry" block, checks that:
-  * the legacy "scoring" counters equal the registry's view of the same
-    quantities (same read, so they must match exactly);
-  * the per-stage counters crew/scoring/predictions/<stage> sum to
-    crew/scoring/predictions (the stage split partitions the total);
-  * the required per-stage breakdown metrics are present across the run
-    (materialize / predict timings plus the affinity, clustering and
-    attribution stage durations).
+The document is {"header": {...}, "cells": [...]} where each cell is a
+schema-v2 cell record whose "registry" is an array of
+{"name", "kind", "count", "ms"} entries (empty unless the bench ran with
+--metrics). For every cell with a non-empty registry, checks that the
+per-stage counters crew/scoring/predictions/<stage> sum to
+crew/scoring/predictions (the stage split partitions the total). Across
+the run, the required per-stage breakdown metrics must be present
+(materialize / predict timings plus the affinity, clustering and
+attribution stage durations).
 
 Usage: tools/validate_metrics.py result.json
 Exit code 0 on success, 1 with a diagnostic on the first violation.
@@ -48,27 +49,17 @@ def main():
     checked = 0
     for i, cell in enumerate(cells):
         registry = cell.get("registry")
-        if registry is None:
+        if not isinstance(registry, list):
+            fail(f"cell {i}: missing or non-array \"registry\"")
+        if not registry:
             continue
         label = f"cell {i} ({cell.get('dataset')}/{cell.get('variant')})"
-        seen_names.update(registry)
+        counts = {entry["name"]: entry["count"] for entry in registry}
+        seen_names.update(counts)
 
-        scoring = cell.get("scoring")
-        if not isinstance(scoring, dict):
-            fail(f"{label}: has registry but no scoring block")
-
-        total = registry.get("crew/scoring/predictions", {}).get("count", 0)
-        if total != scoring["predictions"]:
-            fail(f"{label}: registry predictions {total} != "
-                 f"scoring.predictions {scoring['predictions']}")
-        batches = registry.get("crew/scoring/batches", {}).get("count", 0)
-        if batches != scoring["batches"]:
-            fail(f"{label}: registry batches {batches} != "
-                 f"scoring.batches {scoring['batches']}")
-
+        total = counts.get("crew/scoring/predictions", 0)
         stage_sum = sum(
-            entry.get("count", 0)
-            for name, entry in registry.items()
+            count for name, count in counts.items()
             if name.startswith("crew/scoring/predictions/"))
         if stage_sum != total:
             fail(f"{label}: stage counters sum to {stage_sum}, "
@@ -76,7 +67,7 @@ def main():
         checked += 1
 
     if checked == 0:
-        fail("no cell carries a registry block "
+        fail("no cell carries a non-empty registry "
              "(was the bench run with --metrics?)")
     missing = [name for name in REQUIRED_ANYWHERE if name not in seen_names]
     if missing:
