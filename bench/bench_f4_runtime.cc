@@ -40,9 +40,10 @@ std::vector<int> ParseSweep(const std::string& arg) {
 
 int main(int argc, char** argv) {
   crew::FlagParser flags(argc, argv);
-  auto options = crew::bench::BenchOptions::Parse(argc, argv);
+  auto options = crew::bench::BenchOptions::FromFlags(flags);
   const std::vector<int> sweep =
       ParseSweep(flags.GetString("sweep", "32,64,128,256,512,1024"));
+  crew::bench::DieIfError(flags.CheckAllRead());
   if (options.dataset.empty()) {
     options.dataset = "products-structured";  // one dataset suffices here
   }

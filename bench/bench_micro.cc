@@ -1,16 +1,20 @@
 // Micro-benchmarks (google-benchmark) for the hot inner loops: tokenizer,
 // string similarity, ridge solve, agglomerative clustering, matcher
 // prediction (single pairs, distinct-pair batches, perturbation batches),
-// SGNS training step throughput.
+// one evaluated instance's faithfulness block, SGNS training step
+// throughput.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 
 #include "crew/common/rng.h"
+#include "crew/common/thread_pool.h"
 #include "crew/core/agglomerative.h"
 #include "crew/data/generator.h"
 #include "crew/embed/sgns.h"
+#include "crew/eval/runner.h"
+#include "crew/explain/random_explainer.h"
 #include "crew/la/ridge.h"
 #include "crew/model/trainer.h"
 #include "crew/text/string_similarity.h"
@@ -225,6 +229,29 @@ void FeatureMatcherArgs(benchmark::internal::Benchmark* b) {
   }
 }
 BENCHMARK(BM_FeatureMatcherPerturbationBatch)->Apply(FeatureMatcherArgs);
+
+// One evaluated instance on the MLP matcher: EvaluateInstance with the
+// random explainer, whose explanation costs one base_score call, so the
+// time is the faithfulness block (every metric's masks) plus the
+// comprehensibility metrics. Scoring runs inline (1 thread); iterations
+// cycle over eight test pairs.
+void BM_EvaluateInstanceFaithfulness(benchmark::State& state) {
+  const auto& pipeline = PipelineFor(crew::MatcherKind::kMlp);
+  const crew::RandomExplainer explainer;
+  crew::SetScoringThreads(1);
+  int i = 0;
+  for (auto _ : state) {
+    auto r = crew::EvaluateInstance(explainer, *pipeline.matcher,
+                                    pipeline.test, i, pipeline.embeddings.get(),
+                                    /*seed=*/7);
+    CREW_CHECK(r.ok());
+    benchmark::DoNotOptimize(r->aopc);
+    i = (i + 1) % 8;
+  }
+  crew::SetScoringThreads(0);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EvaluateInstanceFaithfulness);
 
 void BM_SgnsEpoch(benchmark::State& state) {
   crew::Corpus corpus;

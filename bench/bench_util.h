@@ -21,6 +21,15 @@
 
 namespace crew::bench {
 
+/// Dies with a message when `status` is not OK (bench binaries have no
+/// recovery path).
+inline void DieIfError(const Status& status) {
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    std::exit(1);
+  }
+}
+
 /// Shared experiment knobs parsed from the command line; every bench binary
 /// accepts the same flags so sweeps are scriptable.
 struct BenchOptions {
@@ -43,12 +52,20 @@ struct BenchOptions {
   bool stable_timing = false; ///< zero wall-derived outputs (byte-stable)
   bool live_table = false;    ///< re-render a partial table per cell
 
+  /// Parses the shared flags and dies on any flag it does not know or any
+  /// value that does not parse.
   static BenchOptions Parse(int argc, char** argv) {
     FlagParser flags(argc, argv);
-    if (!flags.status().ok()) {
-      std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
-      std::exit(1);
-    }
+    BenchOptions o = FromFlags(flags);
+    DieIfError(flags.CheckAllRead());
+    return o;
+  }
+
+  /// Reads the shared flags and applies the process-wide settings
+  /// (threads, progress, tracing, stable timing). Binaries with extra
+  /// flags read theirs afterwards, then call flags.CheckAllRead().
+  static BenchOptions FromFlags(const FlagParser& flags) {
+    DieIfError(flags.status());
     BenchOptions o;
     o.matches = flags.GetInt("matches", o.matches);
     o.nonmatches = flags.GetInt("nonmatches", o.nonmatches);
@@ -94,15 +111,6 @@ struct BenchOptions {
     std::exit(1);
   }
 };
-
-/// Dies with a message when `status` is not OK (bench binaries have no
-/// recovery path).
-inline void DieIfError(const Status& status) {
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    std::exit(1);
-  }
-}
 
 /// Owns the streaming/restart plumbing assembled from the shared flags —
 /// checkpoint store (--resume, loaded eagerly), JSONL shard sink

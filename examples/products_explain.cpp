@@ -44,8 +44,8 @@ void ExplainOnePair(const crew::TrainedPipeline& pipeline,
     crew::EvalInstance instance{
         crew::PairTokenView(crew::AnonymousSchema(pair), tokenizer, pair),
         units, result->first.base_score, pipeline.matcher->threshold()};
-    const double drop =
-        crew::ComprehensivenessAtK(*pipeline.matcher, instance, 3);
+    const double drop = crew::ComprehensivenessAtK(
+        crew::FaithfulnessBatch(*pipeline.matcher, instance), 3);
     std::printf("  %-12s (%2d units, drop@3 = %+0.3f):",
                 explainer->Name().c_str(), static_cast<int>(units.size()),
                 drop);

@@ -60,6 +60,10 @@ int main(int argc, char** argv) {
       static_cast<int>(flags.GetInt("fail-after-cells", -1));
   const bool stable_timing = flags.GetBool("stable-timing", false);
   const bool live_table = flags.GetBool("live-table", false);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
   crew::SetScoringThreads(threads);
   crew::SetProgressInterval(progress);
   crew::SetTracingEnabled(!trace.empty());

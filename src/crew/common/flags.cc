@@ -1,5 +1,6 @@
 #include "crew/common/flags.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "crew/common/string_util.h"
@@ -27,45 +28,80 @@ FlagParser::FlagParser(int argc, char** argv) {
   }
 }
 
+const std::string* FlagParser::Find(std::string_view name) const {
+  read_.emplace(name);
+  auto it = values_.find(name);
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+void FlagParser::BadValue(std::string_view name,
+                          const std::string& value) const {
+  bad_values_.push_back("bad value for --" + std::string(name) + ": '" +
+                        value + "'");
+}
+
+Status FlagParser::CheckAllRead() const {
+  std::vector<std::string> problems;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) problems.push_back("unknown flag --" + name);
+  }
+  problems.insert(problems.end(), bad_values_.begin(), bad_values_.end());
+  if (problems.empty()) return Status::Ok();
+  std::string message = Join(problems, "; ") + " (known flags:";
+  for (const std::string& name : read_) message += " --" + name;
+  return Status::InvalidArgument(message + ")");
+}
+
 bool FlagParser::Has(std::string_view name) const {
-  return values_.find(name) != values_.end();
+  return Find(name) != nullptr;
 }
 
 std::string FlagParser::GetString(std::string_view name,
                                   std::string_view def) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? std::string(def) : it->second;
+  const std::string* value = Find(name);
+  return value == nullptr ? std::string(def) : *value;
 }
 
 int FlagParser::GetInt(std::string_view name, int def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
   int v = def;
-  return ParseInt(it->second, &v) ? v : def;
+  if (ParseInt(*value, &v)) return v;
+  BadValue(name, *value);
+  return def;
 }
 
 double FlagParser::GetDouble(std::string_view name, double def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
   double v = def;
-  return ParseDouble(it->second, &v) ? v : def;
+  if (ParseDouble(*value, &v)) return v;
+  BadValue(name, *value);
+  return def;
 }
 
 bool FlagParser::GetBool(std::string_view name, bool def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string v = AsciiLower(it->second);
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
+  const std::string v = AsciiLower(*value);
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
+  BadValue(name, *value);
   return def;
 }
 
 uint64_t FlagParser::GetUint64(std::string_view name, uint64_t def) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  char* end = nullptr;
-  uint64_t v = std::strtoull(it->second.c_str(), &end, 10);
-  if (end != it->second.c_str() + it->second.size()) return def;
+  const std::string* value = Find(name);
+  if (value == nullptr) return def;
+  // Digits only: strtoull alone would read "" as 0 and wrap "-1".
+  errno = 0;
+  const uint64_t v = std::strtoull(value->c_str(), nullptr, 10);
+  if (value->empty() ||
+      value->find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE) {
+    BadValue(name, *value);
+    return def;
+  }
   return v;
 }
 

@@ -8,43 +8,6 @@
 #include "crew/explain/batch_scorer.h"
 
 namespace crew {
-namespace {
-
-// Keep-mask deleting the units listed in `unit_indices`.
-std::vector<bool> MaskWithoutUnits(const EvalInstance& instance,
-                                   const std::vector<int>& unit_indices) {
-  std::vector<bool> keep(instance.view.size(), true);
-  for (int u : unit_indices) {
-    for (int i : instance.units[u].member_indices) keep[i] = false;
-  }
-  return keep;
-}
-
-// Keep-mask keeping ONLY the units listed; every other token is deleted.
-std::vector<bool> MaskWithOnlyUnits(const EvalInstance& instance,
-                                    const std::vector<int>& unit_indices) {
-  std::vector<bool> keep(instance.view.size(), false);
-  for (int u : unit_indices) {
-    for (int i : instance.units[u].member_indices) keep[i] = true;
-  }
-  return keep;
-}
-
-// Deletes the units listed in `unit_indices` and returns the matcher score.
-double ScoreWithoutUnits(const Matcher& matcher, const EvalInstance& instance,
-                         const std::vector<int>& unit_indices) {
-  return matcher.PredictProba(
-      instance.view.Materialize(MaskWithoutUnits(instance, unit_indices)));
-}
-
-// Keeps ONLY the units listed; every other token is deleted.
-double ScoreWithOnlyUnits(const Matcher& matcher, const EvalInstance& instance,
-                          const std::vector<int>& unit_indices) {
-  return matcher.PredictProba(
-      instance.view.Materialize(MaskWithOnlyUnits(instance, unit_indices)));
-}
-
-}  // namespace
 
 double PredictedClassProb(double score, bool predicted_match) {
   return predicted_match ? score : 1.0 - score;
@@ -61,131 +24,105 @@ std::vector<int> EvalInstance::RankUnitsBySupport() const {
   return order;
 }
 
-double ComprehensivenessAtK(const Matcher& matcher,
-                            const EvalInstance& instance, int k) {
-  if (instance.units.empty()) return 0.0;
-  const auto ranked = instance.RankUnitsBySupport();
-  k = std::min<int>(k, static_cast<int>(ranked.size()));
-  const std::vector<int> top(ranked.begin(), ranked.begin() + k);
-  const double after = ScoreWithoutUnits(matcher, instance, top);
-  const bool match = instance.PredictedMatch();
-  return PredictedClassProb(instance.base_score, match) -
-         PredictedClassProb(after, match);
-}
-
-double SufficiencyAtK(const Matcher& matcher, const EvalInstance& instance,
-                      int k) {
-  if (instance.units.empty()) return 0.0;
-  const auto ranked = instance.RankUnitsBySupport();
-  k = std::min<int>(k, static_cast<int>(ranked.size()));
-  const std::vector<int> top(ranked.begin(), ranked.begin() + k);
-  const double after = ScoreWithOnlyUnits(matcher, instance, top);
-  const bool match = instance.PredictedMatch();
-  return PredictedClassProb(instance.base_score, match) -
-         PredictedClassProb(after, match);
-}
-
-double AopcDeletion(const Matcher& matcher, const EvalInstance& instance,
-                    int max_k) {
-  if (instance.units.empty()) return 0.0;
-  const int kk = std::min<int>(max_k, static_cast<int>(instance.units.size()));
-  if (kk <= 0) return 0.0;
-  // All top-k deletion prefixes (k = 1..kk) scored in one batch.
-  const auto ranked = instance.RankUnitsBySupport();
+FaithfulnessBatch::FaithfulnessBatch(const Matcher& matcher,
+                                     const EvalInstance& instance,
+                                     int insertion_max_k)
+    : match_(instance.PredictedMatch()),
+      base_score_(instance.base_score),
+      threshold_(instance.threshold) {
+  const std::vector<int> ranked = instance.RankUnitsBySupport();
+  const int n = static_cast<int>(ranked.size());
+  if (n == 0) return;
+  num_inserted_ = std::min(n, std::max(3, insertion_max_k));
+  const size_t tokens = static_cast<size_t>(instance.view.size());
   std::vector<std::vector<bool>> keeps;
-  keeps.reserve(kk);
-  for (int k = 1; k <= kk; ++k) {
-    keeps.push_back(MaskWithoutUnits(
-        instance, std::vector<int>(ranked.begin(), ranked.begin() + k)));
+  keeps.reserve(n + num_inserted_ + 1);
+  // Each prefix extends the previous one by the next ranked unit.
+  std::vector<bool> deleted(tokens, true), inserted(tokens, false);
+  for (int k = 0; k < n; ++k) {
+    const std::vector<int>& members = instance.units[ranked[k]].member_indices;
+    unit_tokens_.push_back(static_cast<int>(members.size()));
+    for (int i : members) deleted[i] = false;
+    keeps.push_back(deleted);
   }
-  const BatchScorer scorer(matcher, instance.view);
-  std::vector<double> scores;
-  scorer.ScoreKeepMasks(keeps, &scores);
-  const bool match = instance.PredictedMatch();
-  const double base = PredictedClassProb(instance.base_score, match);
+  for (int k = 0; k < num_inserted_; ++k) {
+    for (int i : instance.units[ranked[k]].member_indices) inserted[i] = true;
+    keeps.push_back(inserted);
+  }
+  keeps.emplace_back(tokens, false);
+  BatchScorer(matcher, instance.view).ScoreKeepMasks(keeps, &scores_);
+}
+
+double FaithfulnessBatch::Deleted(int k) const {
+  CREW_CHECK(k >= 1 && k <= num_units());
+  return scores_[k - 1];
+}
+
+double FaithfulnessBatch::Inserted(int k) const {
+  CREW_CHECK(k >= 1 && k <= num_inserted_);
+  return scores_[num_units() + k - 1];
+}
+
+double FaithfulnessBatch::Empty() const {
+  CREW_CHECK(!scores_.empty());
+  return scores_.back();
+}
+
+double ComprehensivenessAtK(const FaithfulnessBatch& batch, int k) {
+  if (batch.num_units() == 0) return 0.0;
+  return batch.BaseClassProb() -
+         batch.ClassProb(batch.Deleted(std::min(k, batch.num_units())));
+}
+
+double SufficiencyAtK(const FaithfulnessBatch& batch, int k) {
+  if (batch.num_units() == 0) return 0.0;
+  return batch.BaseClassProb() -
+         batch.ClassProb(batch.Inserted(std::min(k, batch.num_units())));
+}
+
+double AopcDeletion(const FaithfulnessBatch& batch, int max_k) {
+  const int kk = std::min(max_k, batch.num_units());
+  if (kk <= 0) return 0.0;
+  const double base = batch.BaseClassProb();
   double total = 0.0;
-  for (int k = 0; k < kk; ++k) {
-    total += base - PredictedClassProb(scores[k], match);
+  for (int k = 1; k <= kk; ++k) {
+    total += base - batch.ClassProb(batch.Deleted(k));
   }
   return total / static_cast<double>(kk);
 }
 
-double AopcInsertion(const Matcher& matcher, const EvalInstance& instance,
-                     int max_k) {
-  if (instance.units.empty()) return 0.0;
-  const int kk = std::min<int>(max_k, static_cast<int>(instance.units.size()));
+double AopcInsertion(const FaithfulnessBatch& batch, int max_k) {
+  const int kk = std::min(max_k, batch.num_units());
   if (kk <= 0) return 0.0;
-  const auto ranked = instance.RankUnitsBySupport();
-  const bool match = instance.PredictedMatch();
-  // Batch: all top-k insertion prefixes plus the empty baseline (last row).
-  std::vector<std::vector<bool>> keeps;
-  keeps.reserve(kk + 1);
-  std::vector<int> inserted;
-  for (int k = 1; k <= kk; ++k) {
-    inserted.push_back(ranked[k - 1]);
-    keeps.push_back(MaskWithOnlyUnits(instance, inserted));
-  }
-  keeps.emplace_back(instance.view.size(), false);
-  const BatchScorer scorer(matcher, instance.view);
-  std::vector<double> scores;
-  scorer.ScoreKeepMasks(keeps, &scores);
-  const double empty = PredictedClassProb(scores[kk], match);
+  const double empty = batch.ClassProb(batch.Empty());
   double total = 0.0;
-  for (int k = 0; k < kk; ++k) {
-    total += PredictedClassProb(scores[k], match) - empty;
+  for (int k = 1; k <= kk; ++k) {
+    total += batch.ClassProb(batch.Inserted(k)) - empty;
   }
   return total / static_cast<double>(kk);
 }
 
-double ComprehensivenessAtTokenBudget(const Matcher& matcher,
-                                      const EvalInstance& instance,
+double ComprehensivenessAtTokenBudget(const FaithfulnessBatch& batch,
                                       int token_budget) {
-  if (instance.units.empty() || token_budget <= 0) return 0.0;
-  const auto ranked = instance.RankUnitsBySupport();
-  std::vector<int> selected;
-  int removed_tokens = 0;
-  for (int u : ranked) {
-    selected.push_back(u);
-    removed_tokens +=
-        static_cast<int>(instance.units[u].member_indices.size());
-    if (removed_tokens >= token_budget) break;
+  if (batch.num_units() == 0 || token_budget <= 0) return 0.0;
+  int k = 0, removed_tokens = 0;
+  while (k < batch.num_units() && removed_tokens < token_budget) {
+    removed_tokens += batch.unit_tokens(k++);
   }
-  const double after = ScoreWithoutUnits(matcher, instance, selected);
-  const bool match = instance.PredictedMatch();
-  return PredictedClassProb(instance.base_score, match) -
-         PredictedClassProb(after, match);
+  return batch.BaseClassProb() - batch.ClassProb(batch.Deleted(k));
 }
 
-bool DecisionFlipAtTop(const Matcher& matcher, const EvalInstance& instance) {
-  if (instance.units.empty()) return false;
-  const auto ranked = instance.RankUnitsBySupport();
-  const double after = ScoreWithoutUnits(matcher, instance, {ranked[0]});
-  return (after >= instance.threshold) != instance.PredictedMatch();
+bool DecisionFlipAtTop(const FaithfulnessBatch& batch) {
+  if (batch.num_units() == 0) return false;
+  return (batch.Deleted(1) >= batch.threshold()) != batch.predicted_match();
 }
 
-FlipSetResult MinimalFlipSet(const Matcher& matcher,
-                             const EvalInstance& instance) {
+FlipSetResult MinimalFlipSet(const FaithfulnessBatch& batch) {
   FlipSetResult result;
-  if (instance.units.empty()) return result;
-  const auto ranked = instance.RankUnitsBySupport();
-  const bool predicted_match = instance.PredictedMatch();
-  // All removal prefixes scored in one batch; the first flip wins, exactly
-  // as in the early-exit loop (scoring is pure).
-  std::vector<std::vector<bool>> keeps;
-  keeps.reserve(ranked.size());
-  std::vector<int> selected;
-  for (int u : ranked) {
-    selected.push_back(u);
-    keeps.push_back(MaskWithoutUnits(instance, selected));
-  }
-  const BatchScorer scorer(matcher, instance.view);
-  std::vector<double> scores;
-  scorer.ScoreKeepMasks(keeps, &scores);
-  for (size_t p = 0; p < ranked.size(); ++p) {
-    result.units_removed = static_cast<int>(p + 1);
-    result.tokens_removed += static_cast<int>(
-        instance.units[ranked[p]].member_indices.size());
-    if ((scores[p] >= instance.threshold) != predicted_match) {
+  for (int k = 1; k <= batch.num_units(); ++k) {
+    result.units_removed = k;
+    result.tokens_removed += batch.unit_tokens(k - 1);
+    if ((batch.Deleted(k) >= batch.threshold()) != batch.predicted_match()) {
       result.flipped = true;
       return result;
     }
@@ -193,34 +130,16 @@ FlipSetResult MinimalFlipSet(const Matcher& matcher,
   return result;
 }
 
-std::vector<double> DeletionCurve(const Matcher& matcher,
-                                  const EvalInstance& instance,
+std::vector<double> DeletionCurve(const FaithfulnessBatch& batch,
                                   const std::vector<double>& fractions) {
-  std::vector<double> curve(fractions.size());
-  const auto ranked = instance.RankUnitsBySupport();
-  const bool match = instance.PredictedMatch();
-  const int n = static_cast<int>(ranked.size());
-  // Build every fraction's deletion mask, score them in one batch, then
-  // stitch the curve back together (k <= 0 rows read the base score).
-  std::vector<std::vector<bool>> keeps;
-  std::vector<size_t> rows;  // curve index of each batched mask
-  for (size_t fi = 0; fi < fractions.size(); ++fi) {
+  const int n = batch.num_units();
+  std::vector<double> curve;
+  curve.reserve(fractions.size());
+  for (double f : fractions) {
     const int k = std::min(
-        n, static_cast<int>(
-               std::ceil(fractions[fi] * static_cast<double>(n) - 1e-12)));
-    if (k <= 0) {
-      curve[fi] = PredictedClassProb(instance.base_score, match);
-      continue;
-    }
-    keeps.push_back(MaskWithoutUnits(
-        instance, std::vector<int>(ranked.begin(), ranked.begin() + k)));
-    rows.push_back(fi);
-  }
-  const BatchScorer scorer(matcher, instance.view);
-  std::vector<double> scores;
-  scorer.ScoreKeepMasks(keeps, &scores);
-  for (size_t b = 0; b < rows.size(); ++b) {
-    curve[rows[b]] = PredictedClassProb(scores[b], match);
+        n, static_cast<int>(std::ceil(f * static_cast<double>(n) - 1e-12)));
+    curve.push_back(k <= 0 ? batch.BaseClassProb()
+                           : batch.ClassProb(batch.Deleted(k)));
   }
   return curve;
 }

@@ -184,19 +184,21 @@ Result<InstanceEvaluation> EvaluateInstance(
         words.base_score, matcher.threshold()};
     r.predicted_match = instance.PredictedMatch();
 
-    r.aopc = AopcDeletion(matcher, instance, options.aopc_max_k);
-    r.comprehensiveness_at_1 = ComprehensivenessAtK(matcher, instance, 1);
-    r.comprehensiveness_at_3 = ComprehensivenessAtK(matcher, instance, 3);
-    r.sufficiency_at_1 = SufficiencyAtK(matcher, instance, 1);
-    r.sufficiency_at_3 = SufficiencyAtK(matcher, instance, 3);
-    r.comprehensiveness_budget = ComprehensivenessAtTokenBudget(
-        matcher, instance, options.token_budget);
-    r.decision_flip = DecisionFlipAtTop(matcher, instance);
-    r.insertion_aopc =
-        AopcInsertion(matcher, instance, options.insertion_max_k);
-    r.flip_set = MinimalFlipSet(matcher, instance);
+    // One scoring batch feeds every faithfulness metric of the instance.
+    const FaithfulnessBatch batch(matcher, instance,
+                                  options.insertion_max_k);
+    r.aopc = AopcDeletion(batch, options.aopc_max_k);
+    r.comprehensiveness_at_1 = ComprehensivenessAtK(batch, 1);
+    r.comprehensiveness_at_3 = ComprehensivenessAtK(batch, 3);
+    r.sufficiency_at_1 = SufficiencyAtK(batch, 1);
+    r.sufficiency_at_3 = SufficiencyAtK(batch, 3);
+    r.comprehensiveness_budget =
+        ComprehensivenessAtTokenBudget(batch, options.token_budget);
+    r.decision_flip = DecisionFlipAtTop(batch);
+    r.insertion_aopc = AopcInsertion(batch, options.insertion_max_k);
+    r.flip_set = MinimalFlipSet(batch);
     if (!options.curve_fractions.empty()) {
-      r.curve = DeletionCurve(matcher, instance, options.curve_fractions);
+      r.curve = DeletionCurve(batch, options.curve_fractions);
     }
 
     const ComprehensibilityResult comp =

@@ -155,20 +155,4 @@ void BatchScorer::ScorePairs(const std::vector<RecordPair>& pairs,
   ParallelFor(SharedScoringPool(), n, work);
 }
 
-double BatchScorer::ScoreKeepMask(const std::vector<bool>& keep) const {
-  CREW_CHECK(view_ != nullptr);
-  CREW_DCHECK_EQ(static_cast<int>(keep.size()), view_->size());
-  CountBatch(1);
-  WallTimer timer;
-  RecordPair pair;
-  view_->MaterializeInto(keep, &pair);
-  const double materialize_s = timer.ElapsedSeconds();
-  timer.Restart();
-  double score = 0.0;
-  matcher_.PredictProbaBatch(&pair, 1, &score);
-  AddStageTimes(materialize_s, timer.ElapsedSeconds());
-  Engine().batch_size->Observe(1);
-  return score;
-}
-
 }  // namespace crew

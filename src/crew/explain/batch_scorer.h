@@ -48,9 +48,6 @@ class BatchScorer {
   void ScorePairs(const std::vector<RecordPair>& pairs,
                   std::vector<double>* out) const;
 
-  /// Single-mask convenience (scored inline, still counted in the stats).
-  double ScoreKeepMask(const std::vector<bool>& keep) const;
-
   const Matcher& matcher() const { return matcher_; }
 
  private:

@@ -28,9 +28,10 @@ Result<WordExplanation> KernelShapExplainer::Explain(const Matcher& matcher,
   }
   if (m == 1) {
     // Single token: its Shapley value is exactly f(x) - f(empty).
-    std::vector<bool> none(1, false);
-    const double empty = matcher.PredictProba(view.Materialize(none));
-    out.attributions.push_back({view.token(0), out.base_score - empty});
+    std::vector<double> empty;
+    BatchScorer(matcher, view).ScoreKeepMasks({std::vector<bool>(1, false)},
+                                              &empty);
+    out.attributions.push_back({view.token(0), out.base_score - empty[0]});
     out.runtime_ms = timer.ElapsedMillis();
     return out;
   }

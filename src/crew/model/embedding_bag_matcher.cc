@@ -82,14 +82,6 @@ void EncodePairInto(const Schema& schema, const EmbeddingStore& embeddings,
   }
 }
 
-la::Vec EncodePair(const Schema& schema, const EmbeddingStore& embeddings,
-                   const Tokenizer& tokenizer, const RecordPair& pair) {
-  EmbeddingBagMatcher::EncodeScratch scratch;
-  la::Vec x;
-  EncodePairInto(schema, embeddings, tokenizer, pair, &scratch, &x);
-  return x;
-}
-
 }  // namespace
 
 Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
@@ -173,15 +165,6 @@ Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
   return matcher;
 }
 
-la::Vec EmbeddingBagMatcher::Encode(const RecordPair& pair) const {
-  return EncodePair(schema_, *embeddings_, tokenizer_, pair);
-}
-
-void EmbeddingBagMatcher::EncodeInto(const RecordPair& pair,
-                                     EncodeScratch* scratch, la::Vec* x) const {
-  EncodePairInto(schema_, *embeddings_, tokenizer_, pair, scratch, x);
-}
-
 double EmbeddingBagMatcher::Forward(const la::Vec& x) const {
   const int h = w1_.rows();
   const int d = w1_.cols();
@@ -195,17 +178,13 @@ double EmbeddingBagMatcher::Forward(const la::Vec& x) const {
   return la::Sigmoid(z);
 }
 
-double EmbeddingBagMatcher::PredictProba(const RecordPair& pair) const {
-  return Forward(Encode(pair));
-}
-
 void EmbeddingBagMatcher::PredictProbaBatch(const RecordPair* pairs,
                                             size_t count, double* out) const {
   CREW_TRACE_SPAN("matcher/embedding_bag");
   EncodeScratch scratch;
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
-    EncodeInto(pairs[i], &scratch, &x);
+    EncodePairInto(schema_, *embeddings_, tokenizer_, pairs[i], &scratch, &x);
     out[i] = Forward(x);
   }
 }

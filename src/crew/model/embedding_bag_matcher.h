@@ -38,14 +38,13 @@ class EmbeddingBagMatcher : public Matcher {
       const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
       const EmbeddingBagConfig& config = EmbeddingBagConfig());
 
-  double PredictProba(const RecordPair& pair) const override;
   using Matcher::PredictProbaBatch;
   void PredictProbaBatch(const RecordPair* pairs, size_t count,
                          double* out) const override;
   double threshold() const override { return threshold_; }
   std::string Name() const override { return "embedding_bag"; }
 
-  /// Reusable buffers for EncodeInto (see PairFeaturizer::Scratch). The
+  /// Reusable buffers for the pair encoder (see PairFeaturizer::Scratch). The
   /// token -> embedding-row cache persists across the scratch's lifetime:
   /// a perturbation batch re-encodes hundreds of variants of one pair, so
   /// after the first variant almost every token resolves from the cache
@@ -71,10 +70,6 @@ class EmbeddingBagMatcher : public Matcher {
         tokenizer_(tokenizer), w1_(std::move(w1)), b1_(std::move(b1)),
         w2_(std::move(w2)), b2_(b2), threshold_(threshold) {}
 
-  /// Pair -> interaction vector of size schema.size() * 2 * dim.
-  la::Vec Encode(const RecordPair& pair) const;
-  void EncodeInto(const RecordPair& pair, EncodeScratch* scratch,
-                  la::Vec* x) const;
   double Forward(const la::Vec& x) const;
 
   Schema schema_;

@@ -55,11 +55,6 @@ Result<std::unique_ptr<LogisticMatcher>> LogisticMatcher::Train(
       std::move(featurizer), std::move(scaler), std::move(w), b, threshold));
 }
 
-double LogisticMatcher::PredictProba(const RecordPair& pair) const {
-  const la::Vec x = scaler_.Transform(featurizer_.Extract(pair));
-  return la::Sigmoid(la::Dot(weights_, x) + bias_);
-}
-
 void LogisticMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                         double* out) const {
   CREW_TRACE_SPAN("matcher/logistic");

@@ -26,7 +26,6 @@ class LogisticMatcher : public Matcher {
       const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
       const LogisticConfig& config = LogisticConfig());
 
-  double PredictProba(const RecordPair& pair) const override;
   using Matcher::PredictProbaBatch;
   void PredictProbaBatch(const RecordPair* pairs, size_t count,
                          double* out) const override;

@@ -1,13 +1,11 @@
 #include "crew/model/matcher.h"
 
-#include "crew/common/trace.h"
-
 namespace crew {
 
-void Matcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
-                                double* out) const {
-  CREW_TRACE_SPAN("matcher/base");
-  for (size_t i = 0; i < count; ++i) out[i] = PredictProba(pairs[i]);
+double Matcher::PredictProba(const RecordPair& pair) const {
+  double score = 0.0;
+  PredictProbaBatch(&pair, 1, &score);
+  return score;
 }
 
 void Matcher::PredictProbaBatch(const std::vector<RecordPair>& pairs,

@@ -12,24 +12,28 @@ namespace crew {
 /// Black-box EM classifier interface.
 ///
 /// This is the *entire* surface explainers are allowed to touch — they may
-/// call PredictProba (or its batch form) on arbitrary (perturbed) record
-/// pairs and nothing else, exactly as post-hoc explainers treat a deployed
-/// BERT matcher.
+/// score arbitrary (perturbed) record pairs and nothing else, exactly as
+/// post-hoc explainers treat a deployed BERT matcher.
 class Matcher {
  public:
   virtual ~Matcher() = default;
 
-  /// Probability in [0, 1] that the pair refers to the same entity.
-  virtual double PredictProba(const RecordPair& pair) const = 0;
-
-  /// Scores pairs[0..count) into out[0..count); out[i] is bit-identical to
-  /// PredictProba(pairs[i]). The default loops over PredictProba; matchers
-  /// override it to hoist per-pair setup (feature buffers, tokenization,
-  /// embedding lookups) out of the inner loop so steady-state scoring does
-  /// no per-sample allocation. Overrides must be const-thread-safe: the
-  /// batch scoring engine invokes them concurrently on disjoint ranges.
+  /// The one scoring entry point a matcher implements: writes the
+  /// probability in [0, 1] that pairs[i] refers to the same entity into
+  /// out[i], for i in [0, count). out[i] must depend on pairs[i] alone —
+  /// bit-identical whatever else shares the batch and wherever it sits —
+  /// so a caller may batch any pairs together (the evaluation scores an
+  /// instance's whole faithfulness block in one call). Implementations
+  /// hoist per-pair setup (feature buffers, tokenization, embedding
+  /// lookups, per-batch memos) out of the inner loop. They must be
+  /// const-thread-safe: the batch scoring engine invokes them concurrently
+  /// on disjoint ranges.
   virtual void PredictProbaBatch(const RecordPair* pairs, size_t count,
-                                 double* out) const;
+                                 double* out) const = 0;
+
+  /// One pair: a batch of one. Virtual only so decorators (timing,
+  /// counting) can tell single calls from batches.
+  virtual double PredictProba(const RecordPair& pair) const;
 
   /// Convenience vector form; resizes `out` to pairs.size().
   void PredictProbaBatch(const std::vector<RecordPair>& pairs,

@@ -110,10 +110,6 @@ double MlpMatcher::Forward(const la::Vec& x) const {
   return la::Sigmoid(z);
 }
 
-double MlpMatcher::PredictProba(const RecordPair& pair) const {
-  return Forward(scaler_.Transform(featurizer_.Extract(pair)));
-}
-
 void MlpMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                    double* out) const {
   CREW_TRACE_SPAN("matcher/mlp");

@@ -28,7 +28,6 @@ class MlpMatcher : public Matcher {
       const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
       const MlpConfig& config = MlpConfig());
 
-  double PredictProba(const RecordPair& pair) const override;
   using Matcher::PredictProbaBatch;
   void PredictProbaBatch(const RecordPair* pairs, size_t count,
                          double* out) const override;

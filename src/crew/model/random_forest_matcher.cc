@@ -171,10 +171,6 @@ double RandomForestMatcher::PredictFeatures(const la::Vec& x) const {
   return trees_.empty() ? 0.5 : sum / static_cast<double>(trees_.size());
 }
 
-double RandomForestMatcher::PredictProba(const RecordPair& pair) const {
-  return PredictFeatures(featurizer_.Extract(pair));
-}
-
 void RandomForestMatcher::PredictProbaBatch(const RecordPair* pairs,
                                             size_t count, double* out) const {
   CREW_TRACE_SPAN("matcher/forest");

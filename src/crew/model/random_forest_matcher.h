@@ -30,7 +30,6 @@ class RandomForestMatcher : public Matcher {
       const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
       const RandomForestConfig& config = RandomForestConfig());
 
-  double PredictProba(const RecordPair& pair) const override;
   using Matcher::PredictProbaBatch;
   void PredictProbaBatch(const RecordPair* pairs, size_t count,
                          double* out) const override;

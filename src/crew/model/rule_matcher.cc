@@ -145,11 +145,6 @@ double RuleMatcher::ScoreFeatures(const la::Vec& features,
   return la::Sigmoid(la::Dot(logit_weights_, *margins) + logit_bias_);
 }
 
-double RuleMatcher::PredictProba(const RecordPair& pair) const {
-  la::Vec margins;
-  return ScoreFeatures(featurizer_.Extract(pair), &margins);
-}
-
 void RuleMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                     double* out) const {
   CREW_TRACE_SPAN("matcher/rule");

@@ -32,7 +32,6 @@ class RuleMatcher : public Matcher {
       const Dataset& train, std::shared_ptr<const EmbeddingStore> embeddings,
       const RuleMatcherConfig& config = RuleMatcherConfig());
 
-  double PredictProba(const RecordPair& pair) const override;
   using Matcher::PredictProbaBatch;
   void PredictProbaBatch(const RecordPair* pairs, size_t count,
                          double* out) const override;

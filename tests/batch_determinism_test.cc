@@ -1,19 +1,21 @@
 // Determinism regression tests for the batch scoring engine: every
 // explainer must produce bit-identical output whether scoring runs inline
 // (threads=1, the legacy path) or through the shared pool (threads=4), and
-// Matcher::PredictProbaBatch must agree exactly with the per-pair loop.
+// a pair's Matcher::PredictProbaBatch score must not depend on its batch.
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "crew/common/rng.h"
 #include "crew/common/thread_pool.h"
 #include "crew/data/generator.h"
 #include "crew/eval/experiment.h"
+#include "crew/explain/batch_scorer.h"
 #include "crew/explain/shap.h"
 #include "crew/explain/token_view.h"
 #include "crew/model/trainer.h"
@@ -62,6 +64,51 @@ TEST(PredictProbaBatchTest, MatchesPerPairLoopForEveryMatcher) {
       // buffers without changing a single floating-point operation.
       EXPECT_EQ(batch[i], pipeline.matcher->PredictProba(pairs[i]))
           << MatcherKindName(kind) << " pair " << i;
+    }
+  }
+}
+
+// A pair's score may not depend on what else shares its batch or where it
+// sits: FaithfulnessBatch scores a whole instance's masks in one call and
+// relies on each reading equalling the mask scored alone. Positions 63 and
+// 64 straddle BatchScorer's 64-pair materialization block, so one sees a
+// featurizer memo warmed by 63 siblings and the other a fresh one.
+TEST(PredictProbaBatchTest, ScoreIndependentOfBatchComposition) {
+  constexpr int kBatch = 70;
+  for (MatcherKind kind : AllMatcherKinds()) {
+    const TrainedPipeline& pipeline = PipelineFor(kind);
+    const Matcher& matcher = *pipeline.matcher;
+    for (int p = 0; p < 3; ++p) {
+      const RecordPair& pair = pipeline.test.pair(p);
+      Tokenizer tokenizer;
+      PairTokenView view(AnonymousSchema(pair), tokenizer, pair);
+      Rng rng(31 + p);
+      std::vector<std::vector<bool>> keeps(kBatch,
+                                           std::vector<bool>(view.size()));
+      for (auto& keep : keeps) {
+        for (size_t i = 0; i < keep.size(); ++i) keep[i] = rng.Bernoulli(0.6);
+      }
+      const std::vector<bool> target = keeps[0];
+      const RecordPair target_pair = view.Materialize(target);
+      double alone = 0.0;
+      matcher.PredictProbaBatch(&target_pair, 1, &alone);
+      const std::string where = std::string(MatcherKindName(kind)) +
+                                " pair " + std::to_string(p);
+      EXPECT_EQ(matcher.PredictProba(target_pair), alone) << where;
+      for (int pos : {0, 63, 64}) {
+        std::swap(keeps[0], keeps[pos]);  // target now at `pos`
+        std::vector<RecordPair> pairs;
+        for (const auto& keep : keeps) pairs.push_back(view.Materialize(keep));
+        std::vector<double> direct, scored;
+        matcher.PredictProbaBatch(pairs, &direct);
+        {
+          ScopedScoringThreads threads(1);  // one chunk: blocks of 64
+          BatchScorer(matcher, view).ScoreKeepMasks(keeps, &scored);
+        }
+        EXPECT_EQ(direct[pos], alone) << where << " position " << pos;
+        EXPECT_EQ(scored[pos], alone) << where << " position " << pos;
+        std::swap(keeps[0], keeps[pos]);
+      }
     }
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace crew {
 namespace {
 
@@ -59,6 +62,57 @@ TEST(FlagsTest, PositionalArgumentIsError) {
 TEST(FlagsTest, DoubleValue) {
   auto flags = Parse({"--fraction=0.75"});
   EXPECT_DOUBLE_EQ(flags.GetDouble("fraction", 0.0), 0.75);
+}
+
+TEST(FlagsTest, AllFlagsReadIsOk) {
+  auto flags = Parse({"--samples=3", "--verbose", "--seed", "9"});
+  flags.GetInt("samples", 0);
+  flags.GetBool("verbose", false);
+  flags.GetUint64("seed", 0);
+  flags.GetString("absent", "");  // reading an absent flag is fine
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
+TEST(FlagsTest, UnreadFlagsAreErrorsThatListTheKnownOnes) {
+  auto flags = Parse({"--thread", "4", "--samplez", "abc"});
+  EXPECT_EQ(flags.GetInt("threads", 0), 0);
+  EXPECT_EQ(flags.GetInt("samples", 96), 96);
+  const Status status = flags.CheckAllRead();
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+  const std::string& message = status.message();
+  EXPECT_NE(message.find("unknown flag --thread"), std::string::npos);
+  EXPECT_NE(message.find("unknown flag --samplez"), std::string::npos);
+  EXPECT_NE(message.find("known flags: --samples --threads"),
+            std::string::npos)
+      << message;
+}
+
+TEST(FlagsTest, CheckRunsAfterLateReads) {
+  // A binary reading its own flag after the shared ones (bench_f4's
+  // --sweep) must not see it reported once it has been read.
+  auto flags = Parse({"--samples=3", "--sweep=32,64"});
+  flags.GetInt("samples", 0);
+  EXPECT_FALSE(flags.CheckAllRead().ok());
+  EXPECT_EQ(flags.GetString("sweep", ""), "32,64");
+  EXPECT_TRUE(flags.CheckAllRead().ok());
+}
+
+TEST(FlagsTest, MalformedValuesAreErrors) {
+  auto flags = Parse({"--matches", "abc", "--p=0.5x", "--b=off", "--s=-1",
+                      "--e="});
+  EXPECT_EQ(flags.GetInt("matches", 250), 250);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("p", 1.0), 1.0);
+  EXPECT_TRUE(flags.GetBool("b", true));
+  EXPECT_EQ(flags.GetUint64("s", 7), 7u);
+  EXPECT_EQ(flags.GetUint64("e", 7), 7u);
+  const Status status = flags.CheckAllRead();
+  ASSERT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (const char* bad : {"--matches: 'abc'", "--p: '0.5x'", "--b: 'off'",
+                          "--s: '-1'", "--e: ''"}) {
+    EXPECT_NE(status.message().find(std::string("bad value for ") + bad),
+              std::string::npos)
+        << bad << " in " << status.message();
+  }
 }
 
 }  // namespace

@@ -211,21 +211,35 @@ TEST(EvaluateInstancesTest, SeedDerivationIsPerIndexNotPerPosition) {
 
 TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
   // The historical implementation, verbatim: one serial loop accumulating
-  // sums in instance order, scaled at the end. The refactored
-  // EvaluateExplainerOnDataset (sharded EvaluateInstances + deterministic
-  // reduction) must reproduce it bit for bit.
-  const Dataset dataset = SmallDataset();
+  // sums in instance order, scaled at the end, every faithfulness metric
+  // computed by the mask-by-mask oracle above. The sharded runner (one
+  // scoring batch per instance + deterministic reduction) must reproduce
+  // it bit for bit, per instance and in aggregate.
+  Dataset dataset = SmallDataset();
   TokenWeightMatcher matcher({{"vortexa", 1.0}, {"lumenix", 0.7}}, -0.2);
-  const auto idx = SomeInstances(matcher, dataset, 6);
+  auto idx = SomeInstances(matcher, dataset, 6);
   ASSERT_FALSE(idx.empty());
+  // A one-word pair: one unit, so every top-k metric clamps k to 1.
+  RecordPair single = dataset.pair(idx[0]);
+  for (auto* values : {&single.left.values, &single.right.values}) {
+    for (std::string& value : *values) value.clear();
+  }
+  single.left.values[0] = "vortexa";
+  dataset.Add(single);
+  idx.push_back(dataset.size() - 1);
   LimeConfig config;
   config.perturbation.num_samples = 48;
   LimeExplainer lime(config);
   const uint64_t seed = 9;
+  InstanceEvalOptions options;
+  options.curve_fractions = {0.0, 0.1, 0.25, 0.5, 0.75, 1.0};
 
   ExplainerAggregate reference;
   reference.name = lime.Name();
   std::vector<double> reference_aopc;
+  std::vector<testing::OracleFaithfulness> oracles;
+  int flipped = 0;
+  bool saw_one_unit = false, saw_many_units = false;
   Tokenizer tokenizer;
   for (int i : idx) {
     const RecordPair& pair = dataset.pair(i);
@@ -235,22 +249,29 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
     const WordExplanation& words = explained->first;
     const std::vector<ExplanationUnit>& units = explained->second;
     if (units.empty()) continue;
+    saw_one_unit = saw_one_unit || units.size() == 1;
+    saw_many_units = saw_many_units || units.size() > 5;
     EvalInstance instance{PairTokenView(AnonymousSchema(pair), tokenizer,
                                         pair),
                           units, words.base_score, matcher.threshold()};
-    const double aopc = AopcDeletion(matcher, instance, 5);
-    reference_aopc.push_back(aopc);
-    reference.aopc += aopc;
-    reference.comprehensiveness_at_1 +=
-        ComprehensivenessAtK(matcher, instance, 1);
-    reference.comprehensiveness_at_3 +=
-        ComprehensivenessAtK(matcher, instance, 3);
-    reference.sufficiency_at_1 += SufficiencyAtK(matcher, instance, 1);
-    reference.sufficiency_at_3 += SufficiencyAtK(matcher, instance, 3);
-    reference.comprehensiveness_budget5 +=
-        ComprehensivenessAtTokenBudget(matcher, instance, 5);
-    reference.decision_flip_rate +=
-        DecisionFlipAtTop(matcher, instance) ? 1.0 : 0.0;
+    const testing::OracleFaithfulness o =
+        testing::ScoreEachMask(matcher, instance, options.curve_fractions);
+    oracles.push_back(o);
+    reference_aopc.push_back(o.aopc);
+    reference.aopc += o.aopc;
+    reference.comprehensiveness_at_1 += o.comprehensiveness_at_1;
+    reference.comprehensiveness_at_3 += o.comprehensiveness_at_3;
+    reference.sufficiency_at_1 += o.sufficiency_at_1;
+    reference.sufficiency_at_3 += o.sufficiency_at_3;
+    reference.comprehensiveness_budget5 += o.comprehensiveness_budget5;
+    reference.decision_flip_rate += o.decision_flip ? 1.0 : 0.0;
+    reference.insertion_aopc += o.insertion_aopc;
+    if (o.flip_set.flipped) {
+      reference.flip_set_rate += 1.0;
+      reference.flip_set_units += o.flip_set.units_removed;
+      reference.flip_set_tokens += o.flip_set.tokens_removed;
+      ++flipped;
+    }
     const ComprehensibilityResult comp =
         EvaluateComprehensibility(words, units, nullptr);
     reference.total_units += comp.total_units;
@@ -262,6 +283,8 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
     ++reference.instances;
   }
   ASSERT_GT(reference.instances, 0);
+  ASSERT_TRUE(saw_one_unit);
+  ASSERT_TRUE(saw_many_units);
   const double inv = 1.0 / reference.instances;
   reference.aopc *= inv;
   reference.comprehensiveness_at_1 *= inv;
@@ -270,20 +293,26 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
   reference.sufficiency_at_3 *= inv;
   reference.comprehensiveness_budget5 *= inv;
   reference.decision_flip_rate *= inv;
+  reference.insertion_aopc *= inv;
+  reference.flip_set_rate *= inv;
   reference.total_units *= inv;
   reference.effective_units *= inv;
   reference.words_per_unit *= inv;
   reference.semantic_coherence *= inv;
   reference.attribute_purity *= inv;
   reference.surrogate_r2 *= inv;
+  if (flipped > 0) {
+    reference.flip_set_units /= flipped;
+    reference.flip_set_tokens /= flipped;
+  }
 
   for (int threads : {1, 4}) {
     ScopedScoringThreads scoped(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     std::vector<double> per_instance;
     auto agg = EvaluateExplainerOnDataset(lime, matcher, dataset, idx,
                                           nullptr, seed, &per_instance);
-    ASSERT_TRUE(agg.ok()) << "threads=" << threads;
-    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ASSERT_TRUE(agg.ok());
     EXPECT_EQ(per_instance, reference_aopc);
     EXPECT_EQ(agg->instances, reference.instances);
     EXPECT_EQ(agg->aopc, reference.aopc);
@@ -294,12 +323,41 @@ TEST(EvaluateExplainerOnDatasetTest, MatchesSerialReferenceImplementation) {
     EXPECT_EQ(agg->comprehensiveness_budget5,
               reference.comprehensiveness_budget5);
     EXPECT_EQ(agg->decision_flip_rate, reference.decision_flip_rate);
+    EXPECT_EQ(agg->insertion_aopc, reference.insertion_aopc);
+    EXPECT_EQ(agg->flip_set_rate, reference.flip_set_rate);
+    EXPECT_EQ(agg->flip_set_units, reference.flip_set_units);
+    EXPECT_EQ(agg->flip_set_tokens, reference.flip_set_tokens);
     EXPECT_EQ(agg->total_units, reference.total_units);
     EXPECT_EQ(agg->effective_units, reference.effective_units);
     EXPECT_EQ(agg->words_per_unit, reference.words_per_unit);
     EXPECT_EQ(agg->semantic_coherence, reference.semantic_coherence);
     EXPECT_EQ(agg->attribute_purity, reference.attribute_purity);
     EXPECT_EQ(agg->surrogate_r2, reference.surrogate_r2);
+
+    // Per instance, with the deletion curve switched on.
+    auto records = EvaluateInstances(lime, matcher, dataset, idx, nullptr,
+                                     seed, options);
+    ASSERT_TRUE(records.ok());
+    size_t o = 0;
+    for (const InstanceEvaluation& r : records.value()) {
+      if (!r.evaluated) continue;
+      ASSERT_LT(o, oracles.size());
+      const testing::OracleFaithfulness& want = oracles[o++];
+      SCOPED_TRACE("index=" + std::to_string(r.index));
+      EXPECT_EQ(r.aopc, want.aopc);
+      EXPECT_EQ(r.comprehensiveness_at_1, want.comprehensiveness_at_1);
+      EXPECT_EQ(r.comprehensiveness_at_3, want.comprehensiveness_at_3);
+      EXPECT_EQ(r.sufficiency_at_1, want.sufficiency_at_1);
+      EXPECT_EQ(r.sufficiency_at_3, want.sufficiency_at_3);
+      EXPECT_EQ(r.comprehensiveness_budget, want.comprehensiveness_budget5);
+      EXPECT_EQ(r.decision_flip, want.decision_flip);
+      EXPECT_EQ(r.insertion_aopc, want.insertion_aopc);
+      EXPECT_EQ(r.flip_set.flipped, want.flip_set.flipped);
+      EXPECT_EQ(r.flip_set.units_removed, want.flip_set.units_removed);
+      EXPECT_EQ(r.flip_set.tokens_removed, want.flip_set.tokens_removed);
+      EXPECT_EQ(r.curve, want.curve);
+    }
+    EXPECT_EQ(o, oracles.size());
   }
 }
 
