@@ -2,11 +2,13 @@
 // string similarity, ridge solve, agglomerative clustering, matcher
 // prediction (single pairs, distinct-pair batches, perturbation batches),
 // one evaluated instance's faithfulness block, SGNS training step
-// throughput.
+// throughput, matcher training, and the interleaved row dot products
+// (la::RowDots) under the neural matchers and SGNS.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
+#include <utility>
 
 #include "crew/common/rng.h"
 #include "crew/common/thread_pool.h"
@@ -15,6 +17,7 @@
 #include "crew/embed/sgns.h"
 #include "crew/eval/runner.h"
 #include "crew/explain/random_explainer.h"
+#include "crew/la/matrix.h"
 #include "crew/la/ridge.h"
 #include "crew/model/trainer.h"
 #include "crew/text/string_similarity.h"
@@ -276,6 +279,77 @@ void BM_SgnsEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SgnsEpoch);
+
+// Training one neural matcher on PipelineFor's training split and
+// embeddings: the hidden-layer forward and backward passes per sample per
+// epoch (plus the embedding-bag encoder, once per training pair).
+void BM_MatcherTrain(benchmark::State& state, crew::MatcherKind kind) {
+  const auto& pipeline = PipelineFor(kind);
+  for (auto _ : state) {
+    auto matcher = crew::TrainMatcher(kind, pipeline.train,
+                                      pipeline.embeddings, /*seed=*/7);
+    CREW_CHECK(matcher.ok());
+    benchmark::DoNotOptimize(matcher->get());
+  }
+}
+BENCHMARK_CAPTURE(BM_MatcherTrain, mlp, crew::MatcherKind::kMlp)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MatcherTrain, embedding_bag,
+                  crew::MatcherKind::kEmbeddingBag)
+    ->Unit(benchmark::kMillisecond);
+
+// h row dot products of length d: la::RowDots against the one-chain-per-row
+// loop it replaces (BM_RowDotsSerial), with identical results.
+struct RowDotsInput {
+  crew::la::Matrix w;
+  crew::la::Vec x, init, out;
+  RowDotsInput(int h, int d) : w(h, d), x(d), init(h), out(h) {
+    crew::Rng rng(9);
+    for (double& v : w.data()) v = rng.Uniform(-1.0, 1.0);
+    for (double& v : x) v = rng.Uniform(-1.0, 1.0);
+    for (double& v : init) v = rng.Uniform(-1.0, 1.0);
+  }
+};
+
+void BM_RowDots(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  RowDotsInput in(h, d);
+  for (auto _ : state) {
+    crew::la::RowDots(in.w.data().data(), d, h, in.x.data(), d,
+                      in.init.data(), in.out.data());
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * h * d);
+}
+
+void BM_RowDotsSerial(benchmark::State& state) {
+  const int h = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  RowDotsInput in(h, d);
+  for (auto _ : state) {
+    for (int i = 0; i < h; ++i) {
+      const double* row = in.w.Row(i);
+      double s = in.init[i];
+      for (int j = 0; j < d; ++j) s += row[j] * in.x[j];
+      in.out[i] = s;
+    }
+    benchmark::DoNotOptimize(in.out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * h * d);
+}
+
+// (h, d): SGNS's positive plus five negatives at dim 32; the MLP's and the
+// embedding-bag matcher's default hidden widths; an odd shape.
+void RowDotsArgs(benchmark::internal::Benchmark* b) {
+  const std::pair<int, int> kShapes[] = {{6, 32}, {16, 32}, {24, 264},
+                                         {33, 231}};
+  for (const auto& [h, d] : kShapes) b->Args({h, d});
+}
+BENCHMARK(BM_RowDots)->Apply(RowDotsArgs);
+BENCHMARK(BM_RowDotsSerial)->Apply(RowDotsArgs);
 
 }  // namespace
 

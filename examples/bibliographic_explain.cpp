@@ -17,7 +17,15 @@
 
 int main(int argc, char** argv) {
   crew::FlagParser flags(argc, argv);
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 1;
+  }
   const uint64_t seed = flags.GetUint64("seed", 7);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
 
   auto dataset = crew::GenerateByName("biblio-dirty", seed);
   if (!dataset.ok()) {

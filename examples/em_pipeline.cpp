@@ -18,9 +18,17 @@
 
 int main(int argc, char** argv) {
   crew::FlagParser flags(argc, argv);
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 1;
+  }
   const std::string dataset_name =
       flags.GetString("dataset", "restaurants-dirty");
   const uint64_t seed = flags.GetUint64("seed", 7);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
 
   auto dataset = crew::GenerateByName(dataset_name, seed);
   if (!dataset.ok()) {

@@ -27,6 +27,14 @@ int main(int argc, char** argv) {
   }
   const uint64_t seed = flags.GetUint64("seed", 7);
   std::string csv_path = flags.GetString("csv", "");
+  const std::string matcher_name = flags.GetString("matcher", "mlp");
+  const int pair_index = flags.GetInt("pair", 0);
+  const int samples = flags.GetInt("samples", 192);
+  const bool export_json = flags.GetBool("export", false);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
 
   if (csv_path.empty()) {
     // Self-demo: materialize a benchmark dataset as a CSV file.
@@ -52,7 +60,6 @@ int main(int argc, char** argv) {
   }
 
   // Resolve the matcher kind by name.
-  const std::string matcher_name = flags.GetString("matcher", "mlp");
   crew::MatcherKind kind = crew::MatcherKind::kMlp;
   bool found = false;
   for (crew::MatcherKind k : crew::AllMatcherKinds()) {
@@ -73,7 +80,6 @@ int main(int argc, char** argv) {
   }
   const auto& p = pipeline.value();
 
-  const int pair_index = flags.GetInt("pair", 0);
   if (pair_index < 0 || pair_index >= p.test.size()) {
     std::fprintf(stderr, "--pair out of range (test split has %d pairs)\n",
                  p.test.size());
@@ -82,7 +88,7 @@ int main(int argc, char** argv) {
   const crew::RecordPair& pair = p.test.pair(pair_index);
 
   crew::CrewConfig config;
-  config.importance.perturbation.num_samples = flags.GetInt("samples", 192);
+  config.importance.perturbation.num_samples = samples;
   crew::CrewExplainer explainer(p.embeddings, config);
   auto clusters = explainer.ExplainClusters(*p.matcher, pair, seed);
   if (!clusters.ok()) {
@@ -90,7 +96,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (flags.GetBool("export", false)) {
+  if (export_json) {
     std::printf("%s\n",
                 crew::ClusterExplanationToJson(clusters.value()).c_str());
     return 0;

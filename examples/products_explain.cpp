@@ -63,8 +63,16 @@ void ExplainOnePair(const crew::TrainedPipeline& pipeline,
 
 int main(int argc, char** argv) {
   crew::FlagParser flags(argc, argv);
+  if (!flags.status().ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().ToString().c_str());
+    return 1;
+  }
   const std::string flavor = flags.GetString("flavor", "dirty");
   const uint64_t seed = flags.GetUint64("seed", 7);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
 
   auto dataset = crew::GenerateByName("products-" + flavor, seed);
   if (!dataset.ok()) {

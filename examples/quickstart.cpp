@@ -21,6 +21,10 @@ int main(int argc, char** argv) {
   const std::string dataset_name =
       flags.GetString("dataset", "products-structured");
   const uint64_t seed = flags.GetUint64("seed", 7);
+  if (crew::Status status = flags.CheckAllRead(); !status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return 1;
+  }
 
   // 1. Data: a synthetic Magellan-style benchmark with known ground truth.
   auto dataset = crew::GenerateByName(dataset_name, seed);

@@ -30,14 +30,7 @@ la::Vec EmbeddingStore::Lookup(std::string_view token) const {
 
 double EmbeddingStore::Similarity(std::string_view a,
                                   std::string_view b) const {
-  const int ia = vocab_.GetId(a);
-  const int ib = vocab_.GetId(b);
-  if (ia < 0 || ib < 0) return 0.0;
-  const double* ra = vectors_.Row(ia);
-  const double* rb = vectors_.Row(ib);
-  double dot = 0.0;
-  for (int c = 0; c < dim(); ++c) dot += ra[c] * rb[c];
-  return dot;
+  return SimilarityById(vocab_.GetId(a), vocab_.GetId(b));
 }
 
 double EmbeddingStore::SimilarityById(int a, int b) const {
@@ -47,6 +40,34 @@ double EmbeddingStore::SimilarityById(int a, int b) const {
   double dot = 0.0;
   for (int c = 0; c < dim(); ++c) dot += ra[c] * rb[c];
   return dot;
+}
+
+void EmbeddingStore::SimilaritiesById(int a, const int* ids, int n,
+                                      double* out) const {
+  if (a < 0) {
+    std::fill(out, out + n, 0.0);
+    return;
+  }
+  // Gather the in-vocabulary rows (OOV ids score 0), in blocks so the
+  // pointer buffer stays on the stack for any n.
+  constexpr int kBlock = 64;
+  const double* rows[kBlock];
+  double dots[kBlock];
+  int slot[kBlock];
+  for (int first = 0; first < n; first += kBlock) {
+    const int end = std::min(n, first + kBlock);
+    int m = 0;
+    for (int k = first; k < end; ++k) {
+      if (ids[k] < 0) {
+        out[k] = 0.0;
+        continue;
+      }
+      rows[m] = vectors_.Row(ids[k]);
+      slot[m++] = k;
+    }
+    la::RowDots(rows, m, vectors_.Row(a), dim(), nullptr, dots);
+    for (int i = 0; i < m; ++i) out[slot[i]] = dots[i];
+  }
 }
 
 void EmbeddingStore::MeanVectorOfIdsInto(const std::vector<int>& ids,

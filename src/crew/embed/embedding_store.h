@@ -44,9 +44,13 @@ class EmbeddingStore {
   /// the per-call hash lookups.
   int TokenId(std::string_view token) const { return vocab_.GetId(token); }
 
-  /// Similarity by row ids; 0 if either id is negative (OOV). Identical
-  /// floating-point operations to Similarity on the same tokens.
+  /// Similarity by row ids; 0 if either id is negative (OOV). Similarity
+  /// is this on the tokens' ids.
   double SimilarityById(int a, int b) const;
+
+  /// out[k] = SimilarityById(a, ids[k]) for k in [0, n), bit-identical to
+  /// it, with the in-vocabulary dot products computed together (la::RowDots).
+  void SimilaritiesById(int a, const int* ids, int n, double* out) const;
 
   /// MeanVectorInto over pre-resolved ids (negative ids = OOV, skipped).
   /// Bit-identical to MeanVectorInto on the tokens the ids came from.

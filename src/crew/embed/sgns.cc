@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "crew/common/rng.h"
+#include "crew/la/matrix.h"
 #include "crew/la/vector_ops.h"
 
 namespace crew {
@@ -97,6 +98,9 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
       static_cast<int64_t>(config.epochs) * corpus_tokens;
   int64_t step = 0;
   std::vector<double> grad_center(d);
+  std::vector<int> targets;
+  std::vector<const double*> vouts;
+  std::vector<double> dots;
 
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (const auto& sentence : ids) {
@@ -121,23 +125,38 @@ Result<EmbeddingStore> TrainSgnsEmbeddings(const Corpus& corpus,
         for (int t = lo; t <= hi; ++t) {
           if (t == c) continue;
           std::fill(grad_center.begin(), grad_center.end(), 0.0);
-          // Positive example + negatives.
-          for (int k = 0; k <= config.negative_samples; ++k) {
-            int target;
-            double label;
-            if (k == 0) {
-              target = kept[t];
-              label = 1.0;
-            } else {
-              target =
-                  neg_table[rng.UniformInt(static_cast<int>(neg_table.size()))];
-              if (target == kept[t]) continue;
-              label = 0.0;
+          // Positive example first, then the negatives, drawn up front in
+          // the same RNG order (a negative equal to the positive is drawn
+          // and dropped).
+          targets.assign(1, kept[t]);
+          for (int k = 1; k <= config.negative_samples; ++k) {
+            const int target =
+                neg_table[rng.UniformInt(static_cast<int>(neg_table.size()))];
+            if (target != kept[t]) targets.push_back(target);
+          }
+          const int m = static_cast<int>(targets.size());
+          vouts.resize(m);
+          dots.resize(m);
+          for (int k = 0; k < m; ++k) vouts[k] = out.Row(targets[k]);
+          // Distinct targets: each update below touches only its own output
+          // row and leaves `vin` alone, so all dot products can be taken
+          // before any update. A repeated target's row changes between its
+          // two dot products, so then each dot is taken just before its
+          // update, as a serial loop would.
+          bool distinct = true;
+          for (int a = 1; a < m && distinct; ++a) {
+            for (int b = 0; b < a; ++b) distinct &= targets[a] != targets[b];
+          }
+          if (distinct) {
+            la::RowDots(vouts.data(), m, vin, d, nullptr, dots.data());
+          }
+          for (int k = 0; k < m; ++k) {
+            const double label = k == 0 ? 1.0 : 0.0;
+            double* vout = out.Row(targets[k]);
+            if (!distinct) {
+              la::RowDots(&vouts[k], 1, vin, d, nullptr, &dots[k]);
             }
-            double* vout = out.Row(target);
-            double dot = 0.0;
-            for (int x = 0; x < d; ++x) dot += vin[x] * vout[x];
-            const double g = (la::Sigmoid(dot) - label) * lr;
+            const double g = (la::Sigmoid(dots[k]) - label) * lr;
             for (int x = 0; x < d; ++x) {
               grad_center[x] += g * vout[x];
               vout[x] -= g * vin[x];

@@ -5,6 +5,57 @@
 #include "crew/common/dcheck.h"
 
 namespace crew::la {
+namespace {
+
+// One pass over `x` for rows [first, first + N): N independent chains, each
+// summed in the scalar loop's order. `row_at(k)` yields row k's pointer.
+template <int N, typename RowAt>
+void DotBlock(const RowAt& row_at, int first, const double* x, int d,
+              const double* init, double* out) {
+  const double* r[N];
+  double s[N];
+  for (int k = 0; k < N; ++k) {
+    r[k] = row_at(first + k);
+    s[k] = init != nullptr ? init[first + k] : 0.0;
+  }
+  for (int j = 0; j < d; ++j) {
+    const double xj = x[j];
+    for (int k = 0; k < N; ++k) s[k] += r[k][j] * xj;
+  }
+  for (int k = 0; k < N; ++k) out[first + k] = s[k];
+}
+
+template <typename RowAt>
+void RowDotsImpl(const RowAt& row_at, int n, const double* x, int d,
+                 const double* init, double* out) {
+  int first = 0;
+  for (; first + 8 <= n; first += 8) {
+    DotBlock<8>(row_at, first, x, d, init, out);
+  }
+  switch (n - first) {
+    case 7: DotBlock<7>(row_at, first, x, d, init, out); break;
+    case 6: DotBlock<6>(row_at, first, x, d, init, out); break;
+    case 5: DotBlock<5>(row_at, first, x, d, init, out); break;
+    case 4: DotBlock<4>(row_at, first, x, d, init, out); break;
+    case 3: DotBlock<3>(row_at, first, x, d, init, out); break;
+    case 2: DotBlock<2>(row_at, first, x, d, init, out); break;
+    case 1: DotBlock<1>(row_at, first, x, d, init, out); break;
+    default: break;
+  }
+}
+
+}  // namespace
+
+void RowDots(const double* const* rows, int n, const double* x, int d,
+             const double* init, double* out) {
+  RowDotsImpl([rows](int k) { return rows[k]; }, n, x, d, init, out);
+}
+
+void RowDots(const double* rows, size_t stride, int n, const double* x, int d,
+             const double* init, double* out) {
+  RowDotsImpl([rows, stride](int k) { return rows + k * stride; }, n, x, d,
+              init, out);
+}
 
 Vec Matrix::RowVec(int r) const {
   CREW_DCHECK(r >= 0 && r < rows_);
@@ -20,12 +71,7 @@ void Matrix::SetRow(int r, const Vec& v) {
 Vec Matrix::MatVec(const Vec& x) const {
   CREW_DCHECK(static_cast<int>(x.size()) == cols_);
   Vec out(rows_, 0.0);
-  for (int r = 0; r < rows_; ++r) {
-    const double* row = Row(r);
-    double s = 0.0;
-    for (int c = 0; c < cols_; ++c) s += row[c] * x[c];
-    out[r] = s;
-  }
+  RowDots(data_.data(), cols_, rows_, x.data(), cols_, nullptr, out.data());
   return out;
 }
 

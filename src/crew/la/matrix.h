@@ -51,7 +51,7 @@ class Matrix {
   /// Sets row `r` from `v` (size must equal cols()).
   void SetRow(int r, const Vec& v);
 
-  /// this * x  (x.size() == cols()).
+  /// this * x  (x.size() == cols()), one RowDots over all rows.
   Vec MatVec(const Vec& x) const;
 
   /// this^T * x  (x.size() == rows()).
@@ -73,6 +73,29 @@ class Matrix {
   int cols_;
   std::vector<double> data_;
 };
+
+/// Dot products of `n` rows with one vector `x` of length `d`, computed
+/// together:
+///
+///   double s = init ? init[k] : 0.0;
+///   for (int j = 0; j < d; ++j) s += rows[k][j] * x[j];
+///   out[k] = s;
+///
+/// Each row keeps exactly that order of operations, so every result is
+/// bit-identical to the scalar loop above. What changes is that up to eight
+/// rows share one pass over `x`, each with its own accumulator: the chains
+/// are independent, so their adds overlap instead of each waiting on the
+/// one before (the compiler may not reorder a single chain's sum).
+///
+/// This overload takes the rows by pointer (gathered rows, e.g. embedding
+/// rows by token id); `out` must not alias a row or `x`.
+void RowDots(const double* const* rows, int n, const double* x, int d,
+             const double* init, double* out);
+
+/// RowDots over `n` rows stored `stride` doubles apart starting at `rows`
+/// (a row-major block such as a Matrix's data).
+void RowDots(const double* rows, size_t stride, int n, const double* x, int d,
+             const double* init, double* out);
 
 /// Solves the symmetric positive-definite system A x = b via Cholesky.
 /// Returns false if A is not (numerically) positive definite.

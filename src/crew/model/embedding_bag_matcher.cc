@@ -56,16 +56,23 @@ void EncodePairInto(const Schema& schema, const EmbeddingStore& embeddings,
     x.push_back(la::Cosine(l, r));
     double aligned = 0.0;
     if (!left_tokens.empty() && !right_tokens.empty()) {
+      const int n_right = static_cast<int>(right_ids.size());
+      la::Vec& sims = scratch->similarities;
+      sims.resize(n_right);
       int hits = 0;
       for (size_t li = 0; li < left_ids.size(); ++li) {
+        const int id = left_ids[li];
+        // One call scores this token against every right token.
+        if (id >= 0) {
+          embeddings.SimilaritiesById(id, right_ids.data(), n_right,
+                                      sims.data());
+        }
         double best = -1.0;
-        for (size_t ri = 0; ri < right_ids.size(); ++ri) {
+        for (int ri = 0; ri < n_right; ++ri) {
           double sim;
-          if (left_ids[li] >= 0 && right_ids[ri] >= 0) {
+          if (id >= 0 && right_ids[ri] >= 0) {
             // In-vocabulary: equal ids <=> equal tokens.
-            sim = left_ids[li] == right_ids[ri]
-                      ? 1.0
-                      : embeddings.SimilarityById(left_ids[li], right_ids[ri]);
+            sim = id == right_ids[ri] ? 1.0 : sims[ri];
           } else {
             // OOV on either side: Similarity would return 0, so only the
             // exact-string match can score.
@@ -132,12 +139,9 @@ Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
         config.learning_rate / (1.0 + 0.05 * static_cast<double>(epoch));
     for (int idx : order) {
       const la::Vec& x = rows[idx];
-      for (int i = 0; i < h; ++i) {
-        const double* row = w1.Row(i);
-        double s = b1[i];
-        for (int j = 0; j < d; ++j) s += row[j] * x[j];
-        hidden[i] = std::tanh(s);
-      }
+      la::RowDots(w1.data().data(), d, h, x.data(), d, b1.data(),
+                  hidden.data());
+      for (int i = 0; i < h; ++i) hidden[i] = std::tanh(hidden[i]);
       const double p = la::Sigmoid(la::Dot(w2, hidden) + b2);
       const double err = p - labels[idx];
       for (int i = 0; i < h; ++i) {
@@ -160,21 +164,18 @@ Result<std::unique_ptr<EmbeddingBagMatcher>> EmbeddingBagMatcher::Train(
       schema, embeddings, tokenizer, std::move(w1), std::move(b1),
       std::move(w2), b2, /*threshold=*/0.5));
   std::vector<double> scores(n);
-  for (int i = 0; i < n; ++i) scores[i] = matcher->Forward(rows[i]);
+  for (int i = 0; i < n; ++i) scores[i] = matcher->Forward(rows[i], &hidden);
   matcher->threshold_ = BestF1Threshold(scores, labels);
   return matcher;
 }
 
-double EmbeddingBagMatcher::Forward(const la::Vec& x) const {
+double EmbeddingBagMatcher::Forward(const la::Vec& x, la::Vec* hidden) const {
   const int h = w1_.rows();
-  const int d = w1_.cols();
+  hidden->resize(h);
+  la::RowDots(w1_.data().data(), w1_.cols(), h, x.data(), w1_.cols(),
+              b1_.data(), hidden->data());
   double z = b2_;
-  for (int i = 0; i < h; ++i) {
-    const double* row = w1_.Row(i);
-    double s = b1_[i];
-    for (int j = 0; j < d; ++j) s += row[j] * x[j];
-    z += w2_[i] * std::tanh(s);
-  }
+  for (int i = 0; i < h; ++i) z += w2_[i] * std::tanh((*hidden)[i]);
   return la::Sigmoid(z);
 }
 
@@ -185,7 +186,7 @@ void EmbeddingBagMatcher::PredictProbaBatch(const RecordPair* pairs,
   la::Vec x;
   for (size_t i = 0; i < count; ++i) {
     EncodePairInto(schema_, *embeddings_, tokenizer_, pairs[i], &scratch, &x);
-    out[i] = Forward(x);
+    out[i] = Forward(x, &scratch.hidden);
   }
 }
 

@@ -59,6 +59,8 @@ class EmbeddingBagMatcher : public Matcher {
     std::vector<int> left_ids, right_ids;
     std::unordered_map<std::string, int> token_ids;
     la::Vec left_mean, right_mean;
+    la::Vec similarities;  // one left token against every right token
+    la::Vec hidden;        // hidden-layer pre-activations
   };
 
  private:
@@ -70,7 +72,9 @@ class EmbeddingBagMatcher : public Matcher {
         tokenizer_(tokenizer), w1_(std::move(w1)), b1_(std::move(b1)),
         w2_(std::move(w2)), b2_(b2), threshold_(threshold) {}
 
-  double Forward(const la::Vec& x) const;
+  /// P(match) for encoded features `x`; `hidden` is scratch (resized to
+  /// the hidden width).
+  double Forward(const la::Vec& x, la::Vec* hidden) const;
 
   Schema schema_;
   std::shared_ptr<const EmbeddingStore> embeddings_;

@@ -55,11 +55,10 @@ Result<std::unique_ptr<MlpMatcher>> MlpMatcher::Train(
                       (1.0 + 0.05 * static_cast<double>(epoch));
     for (int idx : order) {
       const la::Vec& x = rows[idx];
-      // Forward.
-      for (int i = 0; i < h; ++i) {
-        hidden[i] = std::tanh(la::Dot(la::Vec(w1.Row(i), w1.Row(i) + d), x) +
-                              b1[i]);
-      }
+      // Forward. Training sums (0 + w1[i] . x) + b1[i], unlike Forward's
+      // b1[i]-first order; the trained weights depend on it, so it stays.
+      la::RowDots(w1.data().data(), d, h, x.data(), d, nullptr, hidden.data());
+      for (int i = 0; i < h; ++i) hidden[i] = std::tanh(hidden[i] + b1[i]);
       const double p = la::Sigmoid(la::Dot(w2, hidden) + b2);
       const double err = p - labels[idx];
       // Backward.
@@ -78,35 +77,22 @@ Result<std::unique_ptr<MlpMatcher>> MlpMatcher::Train(
     }
   }
 
-  auto forward = [&](const la::Vec& x) {
-    double z = b2;
-    for (int i = 0; i < h; ++i) {
-      const double* row = w1.Row(i);
-      double s = b1[i];
-      for (int j = 0; j < d; ++j) s += row[j] * x[j];
-      z += w2[i] * std::tanh(s);
-    }
-    return la::Sigmoid(z);
-  };
+  auto matcher = std::unique_ptr<MlpMatcher>(new MlpMatcher(
+      std::move(featurizer), std::move(scaler), std::move(w1), std::move(b1),
+      std::move(w2), b2, /*threshold=*/0.5));
   std::vector<double> scores(n);
-  for (int i = 0; i < n; ++i) scores[i] = forward(rows[i]);
-  const double threshold = BestF1Threshold(scores, labels);
-
-  return std::unique_ptr<MlpMatcher>(
-      new MlpMatcher(std::move(featurizer), std::move(scaler), std::move(w1),
-                     std::move(b1), std::move(w2), b2, threshold));
+  for (int i = 0; i < n; ++i) scores[i] = matcher->Forward(rows[i], &hidden);
+  matcher->threshold_ = BestF1Threshold(scores, labels);
+  return matcher;
 }
 
-double MlpMatcher::Forward(const la::Vec& x) const {
+double MlpMatcher::Forward(const la::Vec& x, la::Vec* hidden) const {
   const int h = w1_.rows();
-  const int d = w1_.cols();
+  hidden->resize(h);
+  la::RowDots(w1_.data().data(), w1_.cols(), h, x.data(), w1_.cols(),
+              b1_.data(), hidden->data());
   double z = b2_;
-  for (int i = 0; i < h; ++i) {
-    const double* row = w1_.Row(i);
-    double s = b1_[i];
-    for (int j = 0; j < d; ++j) s += row[j] * x[j];
-    z += w2_[i] * std::tanh(s);
-  }
+  for (int i = 0; i < h; ++i) z += w2_[i] * std::tanh((*hidden)[i]);
   return la::Sigmoid(z);
 }
 
@@ -114,11 +100,11 @@ void MlpMatcher::PredictProbaBatch(const RecordPair* pairs, size_t count,
                                    double* out) const {
   CREW_TRACE_SPAN("matcher/mlp");
   PairFeaturizer::Scratch scratch;
-  la::Vec x;
+  la::Vec x, hidden;
   for (size_t i = 0; i < count; ++i) {
     featurizer_.ExtractInto(pairs[i], &scratch, &x);
     scaler_.TransformInPlace(&x);
-    out[i] = Forward(x);
+    out[i] = Forward(x, &hidden);
   }
 }
 

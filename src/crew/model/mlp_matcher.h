@@ -41,7 +41,9 @@ class MlpMatcher : public Matcher {
         w1_(std::move(w1)), b1_(std::move(b1)), w2_(std::move(w2)), b2_(b2),
         threshold_(threshold) {}
 
-  double Forward(const la::Vec& x) const;
+  /// P(match) for scaled features `x`; `hidden` is scratch (resized to the
+  /// hidden width).
+  double Forward(const la::Vec& x, la::Vec* hidden) const;
 
   PairFeaturizer featurizer_;
   FeatureScaler scaler_;

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "crew/common/rng.h"
 #include "crew/embed/ppmi.h"
 #include "crew/embed/sgns.h"
 #include "crew/embed/svd_embedding.h"
@@ -113,6 +118,185 @@ TEST(SgnsEmbeddingTest, DeterministicGivenSeed) {
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_DOUBLE_EQ(a->Similarity("router", "wifi"),
                    b->Similarity("router", "wifi"));
+}
+
+// TrainSgnsEmbeddings as it was before its dot products were batched: one
+// serial dot product per target, taken just before that target's update.
+// Counts the windows whose negatives repeat a target in `repeats`.
+EmbeddingStore ReferenceSgns(const Corpus& corpus, const SgnsConfig& config,
+                             int* repeats) {
+  Vocabulary full;
+  for (const auto& sentence : corpus) {
+    for (const auto& tok : sentence) full.Add(tok);
+  }
+  Vocabulary vocab = full.Pruned(config.min_count);
+  const int v = vocab.size();
+  const int d = config.dim;
+  Rng rng(config.seed);
+  std::vector<std::vector<int>> ids;
+  int64_t corpus_tokens = 0;
+  for (const auto& sentence : corpus) {
+    std::vector<int> s;
+    for (const auto& tok : sentence) {
+      const int id = vocab.GetId(tok);
+      if (id >= 0) s.push_back(id);
+    }
+    corpus_tokens += static_cast<int64_t>(s.size());
+    if (!s.empty()) ids.push_back(std::move(s));
+  }
+  la::Matrix in(v, d), out(v, d);
+  for (int r = 0; r < v; ++r) {
+    for (int c = 0; c < d; ++c) in.At(r, c) = (rng.Uniform() - 0.5) / d;
+  }
+  // Unigram^0.75 negative table.
+  const int table_size = 1 << 16;
+  std::vector<double> weights(v);
+  double total = 0.0;
+  for (int i = 0; i < v; ++i) {
+    weights[i] = std::pow(static_cast<double>(vocab.CountOf(i)), 0.75);
+    total += weights[i];
+  }
+  std::vector<int> neg_table;
+  int id = 0;
+  double cum = weights[0] / total;
+  for (int t = 0; t < table_size; ++t) {
+    const double target = (t + 0.5) / table_size;
+    while (cum < target && id + 1 < v) cum += weights[++id] / total;
+    neg_table.push_back(id);
+  }
+  std::vector<double> keep(v, 1.0);
+  if (config.subsample_threshold > 0.0) {
+    for (int i = 0; i < v; ++i) {
+      const double f = static_cast<double>(vocab.CountOf(i)) /
+                       static_cast<double>(vocab.TotalCount());
+      if (f > config.subsample_threshold) {
+        keep[i] = std::min(1.0, std::sqrt(config.subsample_threshold / f) +
+                                    config.subsample_threshold / f);
+      }
+    }
+  }
+  const int64_t total_steps =
+      static_cast<int64_t>(config.epochs) * corpus_tokens;
+  int64_t step = 0;
+  std::vector<double> grad_center(d);
+  *repeats = 0;
+  for (int epoch = 0; epoch < config.epochs; ++epoch) {
+    for (const auto& sentence : ids) {
+      std::vector<int> kept;
+      for (int i : sentence) {
+        if (keep[i] >= 1.0 || rng.Bernoulli(keep[i])) kept.push_back(i);
+      }
+      const int n = static_cast<int>(kept.size());
+      for (int c = 0; c < n; ++c) {
+        ++step;
+        const double progress =
+            static_cast<double>(step) / static_cast<double>(total_steps);
+        const double lr =
+            std::max(1e-4, config.learning_rate * (1.0 - progress));
+        const int win = 1 + rng.UniformInt(config.window);
+        const int lo = std::max(0, c - win);
+        const int hi = std::min(n - 1, c + win);
+        double* vin = in.Row(kept[c]);
+        for (int t = lo; t <= hi; ++t) {
+          if (t == c) continue;
+          std::fill(grad_center.begin(), grad_center.end(), 0.0);
+          std::vector<int> seen;
+          for (int k = 0; k <= config.negative_samples; ++k) {
+            int target;
+            double label;
+            if (k == 0) {
+              target = kept[t];
+              label = 1.0;
+            } else {
+              target =
+                  neg_table[rng.UniformInt(static_cast<int>(neg_table.size()))];
+              if (target == kept[t]) continue;
+              label = 0.0;
+            }
+            if (std::count(seen.begin(), seen.end(), target) == 1) ++*repeats;
+            seen.push_back(target);
+            double* vout = out.Row(target);
+            double dot = 0.0;
+            for (int x = 0; x < d; ++x) dot += vin[x] * vout[x];
+            const double g = (la::Sigmoid(dot) - label) * lr;
+            for (int x = 0; x < d; ++x) {
+              grad_center[x] += g * vout[x];
+              vout[x] -= g * vin[x];
+            }
+          }
+          for (int x = 0; x < d; ++x) vin[x] -= grad_center[x];
+        }
+      }
+    }
+  }
+  return EmbeddingStore(std::move(vocab), std::move(in));
+}
+
+bool SameRows(const EmbeddingStore& a, const EmbeddingStore& b) {
+  if (a.size() != b.size() || a.dim() != b.dim()) return false;
+  for (int i = 0; i < a.size(); ++i) {
+    const std::string& token = a.vocab().TokenOf(i);
+    const la::Vec ra = a.Lookup(token), rb = b.Lookup(token);
+    if (std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(SgnsEmbeddingTest, BitIdenticalToSerialReference) {
+  // A three-word vocabulary makes repeated negatives certain (the serial
+  // fallback); the two-topic corpus's ten words mostly give distinct ones.
+  const Corpus few = [] {
+    Corpus corpus;
+    Rng rng(11);
+    const std::vector<std::string> words = {"red", "green", "blue"};
+    for (int s = 0; s < 40; ++s) {
+      std::vector<std::string> sentence;
+      for (int w = 0; w < 7; ++w) sentence.push_back(words[rng.UniformInt(3)]);
+      corpus.push_back(std::move(sentence));
+    }
+    return corpus;
+  }();
+  const Corpus two_topic = TwoTopicCorpus(40);
+  for (const Corpus* corpus : {&few, &two_topic}) {
+    for (int dim : {8, 32}) {
+      SgnsConfig config;
+      config.dim = dim;
+      config.epochs = 2;
+      config.subsample_threshold = 0.0;
+      int repeats = 0;
+      const EmbeddingStore want = ReferenceSgns(*corpus, config, &repeats);
+      EXPECT_GT(repeats, 0);
+      auto got = TrainSgnsEmbeddings(*corpus, config);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameRows(*got, want)) << "dim " << dim;
+    }
+  }
+}
+
+TEST(EmbeddingStoreTest, SimilaritiesByIdMatchSimilarityById) {
+  SgnsConfig config;
+  config.dim = 32;
+  config.epochs = 1;
+  config.subsample_threshold = 0.0;
+  auto store = TrainSgnsEmbeddings(TwoTopicCorpus(20), config);
+  ASSERT_TRUE(store.ok());
+  // Every id, repeats, OOV (-1) entries, and more ids than one gather block.
+  std::vector<int> ids;
+  for (int round = 0; round < 8; ++round) {
+    for (int i = -1; i < store->size(); ++i) ids.push_back(i);
+  }
+  for (int n : {0, 1, 3, 11, static_cast<int>(ids.size())}) {
+    for (int a = -1; a < store->size(); ++a) {
+      std::vector<double> want(n), got(n, 7.0);
+      for (int k = 0; k < n; ++k) want[k] = store->SimilarityById(a, ids[k]);
+      store->SimilaritiesById(a, ids.data(), n, got.data());
+      EXPECT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                        n * sizeof(double)) == 0)
+          << "a=" << a << " n=" << n;
+    }
+  }
 }
 
 TEST(EmbeddingTrainingTest, RejectsBadConfigAndEmptyCorpus) {

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 
@@ -94,6 +96,70 @@ TEST(TrainerTest, MatcherNameMatchesKindName) {
     auto pipeline = TrainPipeline(EasyDataset(), kind, 0.7, 7);
     ASSERT_TRUE(pipeline.ok());
     EXPECT_EQ(pipeline->matcher->Name(), MatcherKindName(kind));
+  }
+}
+
+// FNV-1a over the bytes of PredictProba on every test pair, then the
+// threshold: any change in any bit of any score changes it.
+uint64_t ScoreFingerprint(const TrainedPipeline& pipeline) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](double v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (unsigned char b : bytes) h = (h ^ b) * 1099511628211ull;
+  };
+  for (int i = 0; i < pipeline.test.size(); ++i) {
+    mix(pipeline.matcher->PredictProba(pipeline.test.pair(i)));
+  }
+  mix(pipeline.matcher->threshold());
+  return h;
+}
+
+// Scores pinned bit for bit: faster dense kernels (SGNS, hidden layers, the
+// embedding-bag aligned-token feature) must not move a single score. The
+// values were recorded before those loops were interleaved.
+TEST(MatcherFingerprintTest, ScoresAreBitIdenticalToRecorded) {
+  GeneratorConfig dirty;
+  dirty.domain = Domain::kRestaurants;
+  dirty.flavor = Flavor::kDirty;
+  dirty.num_matches = 80;
+  dirty.num_nonmatches = 100;
+  dirty.seed = 3;
+  auto restaurants = GenerateDataset(dirty);
+  ASSERT_TRUE(restaurants.ok());
+  struct Pinned {
+    const char* name;
+    const Dataset* dataset;
+    MatcherKind kind;
+    uint64_t fingerprint;
+  };
+  const Pinned kPinned[] = {
+      {"products", &EasyDataset(), MatcherKind::kLogistic,
+       13936604119838565064ull},
+      {"products", &EasyDataset(), MatcherKind::kMlp,
+       2048617422850133048ull},
+      {"products", &EasyDataset(), MatcherKind::kEmbeddingBag,
+       254447781163248646ull},
+      {"products", &EasyDataset(), MatcherKind::kRandomForest,
+       9724669814744321142ull},
+      {"products", &EasyDataset(), MatcherKind::kRule,
+       11849001652228375998ull},
+      {"restaurants", &restaurants.value(), MatcherKind::kLogistic,
+       8257190538373580961ull},
+      {"restaurants", &restaurants.value(), MatcherKind::kMlp,
+       15404258853287603510ull},
+      {"restaurants", &restaurants.value(), MatcherKind::kEmbeddingBag,
+       15635924756361472188ull},
+      {"restaurants", &restaurants.value(), MatcherKind::kRandomForest,
+       888418200078742141ull},
+      {"restaurants", &restaurants.value(), MatcherKind::kRule,
+       3648457059378269000ull},
+  };
+  for (const Pinned& p : kPinned) {
+    auto pipeline = TrainPipeline(*p.dataset, p.kind, 0.7, 7);
+    ASSERT_TRUE(pipeline.ok());
+    EXPECT_EQ(ScoreFingerprint(*pipeline), p.fingerprint)
+        << MatcherKindName(p.kind) << " on " << p.name;
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "crew/common/rng.h"
 
 namespace crew::la {
@@ -28,6 +31,73 @@ TEST(MatrixTest, RowAccess) {
 TEST(MatrixTest, MatVec) {
   Matrix m = Make2x3();
   EXPECT_EQ(m.MatVec({1, 0, -1}), (Vec{-2, -2}));
+}
+
+// The scalar per-row loop RowDots promises to reproduce bit for bit.
+void ScalarRowDots(const std::vector<const double*>& rows, const double* x,
+                   int d, const double* init, double* out) {
+  for (size_t k = 0; k < rows.size(); ++k) {
+    double s = init != nullptr ? init[k] : 0.0;
+    for (int j = 0; j < d; ++j) s += rows[k][j] * x[j];
+    out[k] = s;
+  }
+}
+
+// Fills `v` from U(-1, 1); with `special`, about one entry in six is -0.0,
+// +inf, -inf or NaN instead.
+void FillWithSpecials(Rng& rng, bool special, double* v, size_t n) {
+  const double kSpecials[] = {-0.0, std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()};
+  for (size_t i = 0; i < n; ++i) {
+    v[i] = rng.Uniform(-1.0, 1.0);
+    if (special && rng.UniformInt(6) == 0) v[i] = kSpecials[rng.UniformInt(4)];
+  }
+}
+
+bool SameBytes(const Vec& a, const Vec& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(RowDotsTest, BitIdenticalToScalarLoop) {
+  Rng rng(5);
+  for (int h : {0, 1, 7, 8, 9, 16, 24, 33}) {
+    for (int d : {0, 1, 5, 66, 231}) {
+      for (bool special : {false, true}) {
+        Matrix w(h, d);
+        Vec x(d), init(h);
+        FillWithSpecials(rng, special, w.data().data(), w.data().size());
+        FillWithSpecials(rng, special, x.data(), x.size());
+        FillWithSpecials(rng, special, init.data(), init.size());
+        // Contiguous rows in order, and the same rows gathered in reverse.
+        std::vector<const double*> rows(h);
+        for (int k = 0; k < h; ++k) {
+          rows[k] = w.data().data() + static_cast<size_t>(k) * d;
+        }
+        const std::vector<const double*> reversed(rows.rbegin(), rows.rend());
+        for (bool with_init : {false, true}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "h=" << h << " d=" << d << " special=" << special
+                       << " init=" << with_init);
+          const double* init_ptr = with_init ? init.data() : nullptr;
+          Vec want(h), got(h, 7.0);
+          ScalarRowDots(rows, x.data(), d, init_ptr, want.data());
+          RowDots(w.data().data(), d, h, x.data(), d, init_ptr, got.data());
+          EXPECT_TRUE(SameBytes(got, want));
+          if (!with_init) {
+            EXPECT_TRUE(SameBytes(w.MatVec(x), want));
+          }
+
+          ScalarRowDots(reversed, x.data(), d, init_ptr, want.data());
+          std::fill(got.begin(), got.end(), 7.0);
+          RowDots(reversed.data(), h, x.data(), d, init_ptr, got.data());
+          EXPECT_TRUE(SameBytes(got, want));
+        }
+      }
+    }
+  }
 }
 
 TEST(MatrixTest, MatTVec) {
