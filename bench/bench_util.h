@@ -148,7 +148,10 @@ inline StreamSetup MakeStreamSetup(const BenchOptions& options,
     s.live = std::make_unique<PartialTableSink>();
     s.hooks.sinks.push_back(s.live.get());
   }
-  s.fault = FaultInjector::FromFlagsAndEnv(options.fail_after_cells);
+  Result<std::unique_ptr<FaultInjector>> fault =
+      FaultInjector::FromFlagsAndEnv(options.fail_after_cells);
+  DieIfError(fault.status());
+  s.fault = std::move(fault).value();
   if (s.fault != nullptr) s.hooks.fault = s.fault.get();
   return s;
 }

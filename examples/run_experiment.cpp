@@ -130,9 +130,12 @@ int main(int argc, char** argv) {
     live = std::make_unique<crew::PartialTableSink>();
     hooks.sinks.push_back(live.get());
   }
-  std::unique_ptr<crew::FaultInjector> fault =
-      crew::FaultInjector::FromFlagsAndEnv(fail_after_cells);
-  if (fault != nullptr) hooks.fault = fault.get();
+  auto fault = crew::FaultInjector::FromFlagsAndEnv(fail_after_cells);
+  if (!fault.ok()) {
+    std::fprintf(stderr, "%s\n", fault.status().ToString().c_str());
+    return 1;
+  }
+  if (*fault != nullptr) hooks.fault = fault->get();
 
   // 3. Execute: instances shard across the scoring pool; perturbation
   //    scoring nested inside a shard runs inline (one pool, two levels).

@@ -1,8 +1,5 @@
 #include "crew/common/flags.h"
 
-#include <cerrno>
-#include <cstdlib>
-
 #include "crew/common/string_util.h"
 
 namespace crew {
@@ -93,16 +90,10 @@ bool FlagParser::GetBool(std::string_view name, bool def) const {
 uint64_t FlagParser::GetUint64(std::string_view name, uint64_t def) const {
   const std::string* value = Find(name);
   if (value == nullptr) return def;
-  // Digits only: strtoull alone would read "" as 0 and wrap "-1".
-  errno = 0;
-  const uint64_t v = std::strtoull(value->c_str(), nullptr, 10);
-  if (value->empty() ||
-      value->find_first_not_of("0123456789") != std::string::npos ||
-      errno == ERANGE) {
-    BadValue(name, *value);
-    return def;
-  }
-  return v;
+  uint64_t v = def;
+  if (ParseUint64(*value, &v)) return v;
+  BadValue(name, *value);
+  return def;
 }
 
 }  // namespace crew

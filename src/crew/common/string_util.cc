@@ -1,10 +1,12 @@
 #include "crew/common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cerrno>
+#include <system_error>
 
 namespace crew {
 
@@ -107,6 +109,15 @@ bool ParseInt(std::string_view s, int* out) {
   if (errno != 0 || end != buf.c_str() + buf.size()) return false;
   if (v < -2147483648L || v > 2147483647L) return false;
   *out = static_cast<int>(v);
+  return true;
+}
+
+bool ParseUint64(std::string_view s, uint64_t* out) {
+  // from_chars takes no sign, whitespace or prefix for an unsigned type.
+  uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || end != s.data() + s.size()) return false;
+  *out = v;
   return true;
 }
 

@@ -1,6 +1,7 @@
 #ifndef CREW_COMMON_STRING_UTIL_H_
 #define CREW_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -32,6 +33,10 @@ std::string StrPrintf(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Parses a double / int; returns false on malformed input or trailing junk.
 bool ParseDouble(std::string_view s, double* out);
 bool ParseInt(std::string_view s, int* out);
+
+/// Parses a uint64 written as decimal digits only: no sign, no whitespace,
+/// not empty, not above UINT64_MAX. Returns false otherwise.
+bool ParseUint64(std::string_view s, uint64_t* out);
 
 }  // namespace crew
 

@@ -1,10 +1,11 @@
 #include "crew/eval/streaming.h"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
+#include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <utility>
 
@@ -17,6 +18,7 @@
 #include "crew/common/json.h"
 #include "crew/common/logging.h"
 #include "crew/common/rng.h"
+#include "crew/common/string_util.h"
 
 namespace crew {
 namespace {
@@ -42,8 +44,8 @@ Result<MetricKind> MetricKindFromName(const std::string& name) {
 
 // ---------------------------------------------------------------------------
 // The record schema: every serialized field of every record type, listed
-// once, in emission order. The writer (AppendValue) and the parser
-// (ReadValue) both walk these lists, so a new field is one line here.
+// once, in emission order. The writer (AppendValue) and the reader
+// (Reader::Read) both walk these lists, so a new field is one line here.
 // `Rec` is T or const T, so one list serves both directions.
 // ---------------------------------------------------------------------------
 
@@ -223,310 +225,129 @@ std::string RecordStart(const char* kind) {
 }
 
 // ---------------------------------------------------------------------------
-// Reading: a minimal recursive-descent JSON parser. The stream is
-// machine-written by this file, so the parser only needs to be strict and
-// small, not featureful. Object field order is preserved (vector, not map).
-// Nesting is capped: the schema is 4 levels deep, and unbounded recursion
-// on a line of repeated '[' would overflow the stack.
+// Reading: the writer's exact inverse. Reader walks a line with the same
+// Fields(...) lists, in the same order, and reads each value straight into
+// its typed field. Recursion follows the C++ types, never the input's
+// brackets, so a hostile line cannot nest deeper than the schema (4
+// levels). Anything the writer cannot have produced is DataLoss:
+// whitespace between tokens, keys out of order, unknown or missing, and
+// number or escape forms the writer never emits.
 // ---------------------------------------------------------------------------
 
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  Type type = Type::kNull;
-  bool bool_value = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
+class Reader {
  public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
+  explicit Reader(std::string_view line) : line_(line) {}
 
-  Result<JsonValue> Parse() {
-    JsonValue value;
-    CREW_RETURN_IF_ERROR(ParseValue(&value));
-    SkipWhitespace();
-    if (pos_ != text_.size()) {
-      return Fail("trailing characters after JSON value");
+  Status Expect(std::string_view token) {
+    if (Consume(token)) return Status::Ok();
+    return Fail("expected '" + std::string(token) + "'");
+  }
+
+  Status ExpectEnd() const {
+    return pos_ == line_.size() ? Status::Ok() : Fail("trailing bytes");
+  }
+
+  // Inverse of AppendFields: `"key":value` for every field of `rec`, with
+  // the comma the writer puts before each key not right after a '{'.
+  template <class Rec>
+  Status ReadFields(Rec* rec) {
+    Status status;
+    Fields(*rec, [&](const char* key, auto& value) {
+      if (!status.ok()) return;
+      if (line_[pos_ - 1] != '{') status = Expect(",");
+      if (status.ok()) status = Expect("\"");
+      if (status.ok()) status = Expect(key);
+      if (status.ok()) status = Expect("\":");
+      if (status.ok()) status = Read(&value);
+    });
+    return status;
+  }
+
+  // Inverse of AppendValue, case for case. `*out` is freshly
+  // default-constructed, so strings and vectors are appended to.
+  template <class T>
+  Status Read(T* out) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      CREW_RETURN_IF_ERROR(Expect("\""));
+      const size_t n = JsonUnescape(line_.substr(pos_), out);
+      if (n == std::string_view::npos) return Fail("bad string");
+      pos_ += n + 1;
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (Consume("true")) {
+        *out = true;
+      } else if (Consume("false")) {
+        *out = false;
+      } else {
+        return Fail("expected a bool");
+      }
+    } else if constexpr (std::is_same_v<T, double>) {
+      // Non-finite doubles are written as null (JSON cannot express them).
+      if (Consume("null")) {
+        *out = std::numeric_limits<double>::quiet_NaN();
+      } else {
+        return ReadNumber(out);
+      }
+    } else if constexpr (std::is_integral_v<T>) {
+      return ReadNumber(out);
+    } else if constexpr (std::is_same_v<T, MetricKind>) {
+      std::string name;
+      CREW_RETURN_IF_ERROR(Read(&name));
+      Result<MetricKind> kind = MetricKindFromName(name);
+      if (!kind.ok()) return kind.status();
+      *out = *kind;
+    } else if constexpr (kIsVector<T>) {
+      CREW_RETURN_IF_ERROR(Expect("["));
+      if (Consume("]")) return Status::Ok();
+      do {
+        CREW_RETURN_IF_ERROR(Read(&out->emplace_back()));
+      } while (Consume(","));
+      return Expect("]");
+    } else if constexpr (kIsPair<T>) {
+      CREW_RETURN_IF_ERROR(Expect("["));
+      CREW_RETURN_IF_ERROR(Read(&out->first));
+      CREW_RETURN_IF_ERROR(Expect(","));
+      CREW_RETURN_IF_ERROR(Read(&out->second));
+      return Expect("]");
+    } else {
+      CREW_RETURN_IF_ERROR(Expect("{"));
+      CREW_RETURN_IF_ERROR(ReadFields(out));
+      return Expect("}");
     }
-    return value;
+    return Status::Ok();
   }
 
  private:
   Status Fail(const std::string& why) const {
-    return Status::DataLoss("json parse error at byte " +
+    return Status::DataLoss("record parse error at byte " +
                             std::to_string(pos_) + ": " + why);
   }
 
-  void SkipWhitespace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r')) {
-      ++pos_;
-    }
+  bool Consume(std::string_view token) {
+    if (line_.substr(pos_, token.size()) != token) return false;
+    pos_ += token.size();
+    return true;
   }
 
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
+  // Integers are exact over T's whole range; doubles are correctly
+  // rounded, so %.17g reads back bit-identically. from_chars alone would
+  // take "inf" and "nan", which the writer never produces.
+  template <class T>
+  Status ReadNumber(T* out) {
+    const char* first = line_.data() + pos_;
+    const char* last = line_.data() + line_.size();
+    const char* digit = first != last && *first == '-' ? first + 1 : first;
+    if (digit == last || *digit < '0' || *digit > '9') {
+      return Fail("expected a number");
     }
-    return false;
-  }
-
-  Status ParseLiteral(const char* literal) {
-    const size_t len = std::strlen(literal);
-    if (text_.compare(pos_, len, literal) != 0) {
-      return Fail(std::string("expected '") + literal + "'");
-    }
-    pos_ += len;
+    const auto [end, ec] = std::from_chars(first, last, *out);
+    if (ec != std::errc()) return Fail("number out of range");
+    pos_ += static_cast<size_t>(end - first);
     return Status::Ok();
   }
 
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) return Fail("expected '\"'");
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return Status::Ok();
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) break;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return Fail("bad \\u escape digit");
-            }
-          }
-          // JsonEscape only emits \u00xx (control bytes); decode the BMP
-          // range anyway so round-tripping foreign documents works.
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return Fail("unknown escape");
-      }
-    }
-    return Fail("unterminated string");
-  }
-
-  Status ParseNumber(JsonValue* out) {
-    const char* begin = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return Fail("expected number");
-    pos_ += static_cast<size_t>(end - begin);
-    out->type = JsonValue::Type::kNumber;
-    out->number = v;
-    return Status::Ok();
-  }
-
-  Status ParseValue(JsonValue* out) {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{' || c == '[') {
-      if (depth_ == kMaxDepth) {
-        return Fail("nesting deeper than " + std::to_string(kMaxDepth));
-      }
-      ++depth_;
-      const Status status = c == '{' ? ParseObject(out) : ParseArray(out);
-      --depth_;
-      return status;
-    }
-    if (c == '"') {
-      out->type = JsonValue::Type::kString;
-      return ParseString(&out->str);
-    }
-    if (c == 't') {
-      CREW_RETURN_IF_ERROR(ParseLiteral("true"));
-      out->type = JsonValue::Type::kBool;
-      out->bool_value = true;
-      return Status::Ok();
-    }
-    if (c == 'f') {
-      CREW_RETURN_IF_ERROR(ParseLiteral("false"));
-      out->type = JsonValue::Type::kBool;
-      out->bool_value = false;
-      return Status::Ok();
-    }
-    if (c == 'n') {
-      CREW_RETURN_IF_ERROR(ParseLiteral("null"));
-      out->type = JsonValue::Type::kNull;
-      return Status::Ok();
-    }
-    return ParseNumber(out);
-  }
-
-  Status ParseArray(JsonValue* out) {
-    out->type = JsonValue::Type::kArray;
-    if (!Consume('[')) return Fail("expected '['");
-    SkipWhitespace();
-    if (Consume(']')) return Status::Ok();
-    while (true) {
-      JsonValue element;
-      CREW_RETURN_IF_ERROR(ParseValue(&element));
-      out->array.push_back(std::move(element));
-      SkipWhitespace();
-      if (Consume(']')) return Status::Ok();
-      if (!Consume(',')) return Fail("expected ',' or ']'");
-    }
-  }
-
-  Status ParseObject(JsonValue* out) {
-    out->type = JsonValue::Type::kObject;
-    if (!Consume('{')) return Fail("expected '{'");
-    SkipWhitespace();
-    if (Consume('}')) return Status::Ok();
-    while (true) {
-      SkipWhitespace();
-      std::string key;
-      CREW_RETURN_IF_ERROR(ParseString(&key));
-      SkipWhitespace();
-      if (!Consume(':')) return Fail("expected ':'");
-      JsonValue value;
-      CREW_RETURN_IF_ERROR(ParseValue(&value));
-      out->object.emplace_back(std::move(key), std::move(value));
-      SkipWhitespace();
-      if (Consume('}')) return Status::Ok();
-      if (!Consume(',')) return Fail("expected ',' or '}'");
-    }
-  }
-
-  static constexpr int kMaxDepth = 32;
-
-  const std::string& text_;
+  std::string_view line_;
   size_t pos_ = 0;
-  int depth_ = 0;
 };
-
-// -- typed reading over the schema (missing/mistyped fields are DataLoss) --
-
-template <class T>
-Status ReadValue(const JsonValue& j, T* out);
-
-template <class T>
-Status ReadField(const JsonValue& obj, const char* key, T* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) {
-    return Status::DataLoss(std::string("missing field: ") + key);
-  }
-  const Status status = ReadValue(*v, out);
-  if (!status.ok()) {
-    return Status::DataLoss(std::string("field ") + key + ": " +
-                            status.message());
-  }
-  return status;
-}
-
-template <class Rec>
-Status ReadFields(const JsonValue& obj, Rec* rec) {
-  if (obj.type != JsonValue::Type::kObject) {
-    return Status::DataLoss("not an object");
-  }
-  Status status;
-  Fields(*rec, [&](const char* key, auto& value) {
-    if (status.ok()) status = ReadField(obj, key, &value);
-  });
-  return status;
-}
-
-template <class T>
-Status ReadValue(const JsonValue& j, T* out) {
-  using Type = JsonValue::Type;
-  if constexpr (std::is_same_v<T, std::string>) {
-    if (j.type != Type::kString) return Status::DataLoss("not a string");
-    *out = j.str;
-  } else if constexpr (std::is_same_v<T, bool>) {
-    if (j.type != Type::kBool) return Status::DataLoss("not a bool");
-    *out = j.bool_value;
-  } else if constexpr (std::is_same_v<T, double>) {
-    // Non-finite doubles serialize as null (JSON cannot express them).
-    if (j.type == Type::kNull) {
-      *out = std::numeric_limits<double>::quiet_NaN();
-    } else if (j.type == Type::kNumber) {
-      *out = j.number;
-    } else {
-      return Status::DataLoss("not a number");
-    }
-  } else if constexpr (std::is_integral_v<T>) {
-    // Casting NaN or an out-of-range double to an integer is undefined, so
-    // anything but an integral value T can hold is refused. 2^(bits-1) is
-    // exact as a double.
-    static_assert(std::is_signed_v<T>);
-    constexpr double kLimit =
-        -static_cast<double>(std::numeric_limits<T>::min());
-    if (j.type != Type::kNumber ||
-        !(j.number >= -kLimit && j.number < kLimit) ||
-        j.number != std::trunc(j.number)) {
-      return Status::DataLoss("not an integer in range");
-    }
-    *out = static_cast<T>(j.number);
-  } else if constexpr (std::is_same_v<T, MetricKind>) {
-    std::string name;
-    CREW_RETURN_IF_ERROR(ReadValue(j, &name));
-    Result<MetricKind> kind = MetricKindFromName(name);
-    if (!kind.ok()) return kind.status();
-    *out = *kind;
-  } else if constexpr (kIsVector<T>) {
-    if (j.type != Type::kArray) return Status::DataLoss("not an array");
-    out->clear();
-    out->resize(j.array.size());
-    for (size_t i = 0; i < j.array.size(); ++i) {
-      CREW_RETURN_IF_ERROR(ReadValue(j.array[i], &(*out)[i]));
-    }
-  } else if constexpr (kIsPair<T>) {
-    if (j.type != Type::kArray || j.array.size() != 2) {
-      return Status::DataLoss("not a two-element array");
-    }
-    CREW_RETURN_IF_ERROR(ReadValue(j.array[0], &out->first));
-    CREW_RETURN_IF_ERROR(ReadValue(j.array[1], &out->second));
-  } else {
-    return ReadFields(j, out);
-  }
-  return Status::Ok();
-}
 
 Status FileError(const char* what, const std::string& path) {
   return Status::DataLoss(std::string(what) + ": " + path);
@@ -586,38 +407,37 @@ std::string CellToJsonl(const std::string& scope, const ExperimentCell& cell) {
 }
 
 Result<CellRecord> ParseCellRecord(const std::string& line) {
-  JsonParser parser(line);
-  Result<JsonValue> parsed = parser.Parse();
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = *parsed;
-  if (root.type != JsonValue::Type::kObject) {
-    return Status::DataLoss("record is not a JSON object");
-  }
-
-  CellRecord record;
-  // Version first: a wrong version is a schema mismatch
-  // (kFailedPrecondition), which callers treat as fatal even on the
-  // trailing line, unlike the DataLoss a torn write produces.
-  CREW_RETURN_IF_ERROR(ReadField(root, "v", &record.version));
-  if (record.version != kCellSchemaVersion) {
+  // The inverse of RecordStart, then of HeaderToJsonl or CellToJsonl.
+  Reader in(line);
+  int version = 0;
+  CREW_RETURN_IF_ERROR(in.Expect("{\"v\":"));
+  CREW_RETURN_IF_ERROR(in.Read(&version));
+  CREW_RETURN_IF_ERROR(in.Expect(","));
+  // A wrong version is a schema mismatch (kFailedPrecondition), which
+  // callers treat as fatal even on the trailing line, unlike the DataLoss a
+  // torn write produces. The rest of that line is another schema's.
+  if (version != kCellSchemaVersion) {
     return Status::FailedPrecondition(
-        "unsupported cell schema version " + std::to_string(record.version) +
+        "unsupported cell schema version " + std::to_string(version) +
         " (expected " + std::to_string(kCellSchemaVersion) + ")");
   }
-  CREW_RETURN_IF_ERROR(ReadField(root, "kind", &record.kind));
-
+  CellRecord record;
+  CREW_RETURN_IF_ERROR(in.Expect("\"kind\":"));
+  CREW_RETURN_IF_ERROR(in.Read(&record.kind));
   if (record.kind == "header") {
     ExperimentResult header;
-    CREW_RETURN_IF_ERROR(ReadFields(root, &header));
+    CREW_RETURN_IF_ERROR(in.ReadFields(&header));
     record.experiment = std::move(header.name);
     record.params = std::move(header.params);
-    return record;
-  }
-  if (record.kind != "cell") {
+  } else if (record.kind == "cell") {
+    CREW_RETURN_IF_ERROR(in.Expect(",\"scope\":"));
+    CREW_RETURN_IF_ERROR(in.Read(&record.scope));
+    CREW_RETURN_IF_ERROR(in.ReadFields(&record.cell));
+  } else {
     return Status::DataLoss("unknown record kind: " + record.kind);
   }
-  CREW_RETURN_IF_ERROR(ReadField(root, "scope", &record.scope));
-  CREW_RETURN_IF_ERROR(ReadFields(root, &record.cell));
+  CREW_RETURN_IF_ERROR(in.Expect("}"));
+  CREW_RETURN_IF_ERROR(in.ExpectEnd());
   // Canonicalize: snapshots are name-sorted by contract, and the --metrics
   // sum as well as the "registry" JSON block iterate in stored order, so a
   // restored cell must never depend on how the shard happened to order its
@@ -755,10 +575,6 @@ Status CheckpointStore::Load() {
   return Status::Ok();
 }
 
-bool CheckpointStore::IsDone(const std::string& key) const {
-  return cells_.find(key) != cells_.end();
-}
-
 const ExperimentCell* CheckpointStore::Restored(const std::string& key) const {
   const auto it = cells_.find(key);
   return it == cells_.end() ? nullptr : &it->second;
@@ -776,7 +592,7 @@ Status CheckpointStore::EnsureOpenForAppend() {
 Status CheckpointStore::Append(const std::string& scope,
                                const ExperimentCell& cell) {
   const std::string key = CellKey(scope, cell.dataset, cell.variant);
-  if (IsDone(key)) return Status::Ok();  // idempotent replay
+  if (cells_.count(key) > 0) return Status::Ok();  // idempotent replay
   CREW_RETURN_IF_ERROR(EnsureOpenForAppend());
   CREW_RETURN_IF_ERROR(WriteLine(file_, CellToJsonl(scope, cell), path_));
   cells_.emplace(key, cell);
@@ -819,21 +635,20 @@ void FaultInjector::ArmFromSeed(uint64_t seed) {
   fail_after_ = -1;
 }
 
-std::unique_ptr<FaultInjector> FaultInjector::FromFlagsAndEnv(
+Result<std::unique_ptr<FaultInjector>> FaultInjector::FromFlagsAndEnv(
     int fail_after_cells) {
   std::unique_ptr<FaultInjector> injector;
   if (fail_after_cells >= 0) {
     injector = std::make_unique<FaultInjector>();
     injector->ArmAfterCells(fail_after_cells);
   } else if (const char* env = std::getenv("CREW_FAULT_SEED")) {
-    char* end = nullptr;
-    const unsigned long long seed = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0') {
-      injector = std::make_unique<FaultInjector>();
-      injector->ArmFromSeed(static_cast<uint64_t>(seed));
-    } else {
-      CREW_LOG(Warning) << "ignoring unparseable CREW_FAULT_SEED: " << env;
+    uint64_t seed = 0;
+    if (!ParseUint64(env, &seed)) {
+      return Status::InvalidArgument(
+          std::string("CREW_FAULT_SEED is not a uint64: '") + env + "'");
     }
+    injector = std::make_unique<FaultInjector>();
+    injector->ArmFromSeed(seed);
   }
   if (injector != nullptr && std::getenv("CREW_FAULT_HARD") != nullptr) {
     injector->set_hard(true);

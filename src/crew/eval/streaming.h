@@ -36,7 +36,6 @@ std::string CellToJsonl(const std::string& scope, const ExperimentCell& cell);
 /// records populate `experiment`/`params`, cell records populate
 /// `scope`/`cell`.
 struct CellRecord {
-  int version = 0;
   std::string kind;
   std::string experiment;
   std::vector<std::pair<std::string, std::string>> params;
@@ -44,9 +43,13 @@ struct CellRecord {
   ExperimentCell cell;
 };
 
-/// Parses one line of the stream. Any malformed JSON, missing field, or
-/// version mismatch is an error; the caller decides whether the line's
-/// position (trailing vs interior) makes that recoverable.
+/// Parses one line of the stream: the exact inverse of HeaderToJsonl and
+/// CellToJsonl. A version other than kCellSchemaVersion is
+/// FailedPrecondition. Anything the writer cannot have produced is
+/// DataLoss: whitespace between tokens or a trailing '\r', keys reordered,
+/// unknown or missing, integers outside their field's range, and number or
+/// string escape forms the writer never emits. The caller decides whether
+/// the line's position (trailing vs interior) makes that recoverable.
 Result<CellRecord> ParseCellRecord(const std::string& line);
 
 /// Structured consumer of cells *as they finish*. The runner calls OnBegin
@@ -101,7 +104,7 @@ class JsonlStreamSink : public StreamingSink {
 /// Durable record of completed cells backed by the same JSONL schema.
 /// Load() scans an existing file (tolerating a torn trailing line),
 /// Append() adds one fsync'd line per fresh cell, and the runner consults
-/// IsDone()/Restored() to skip cells a previous (crashed) run already
+/// Restored() to skip cells a previous (crashed) run already
 /// finished. Because per-cell work is seeded from the grid key and never
 /// from execution order, a resumed grid is bit-identical to an
 /// uninterrupted one.
@@ -117,11 +120,8 @@ class CheckpointStore {
   /// interior corruption or schema-version mismatch is an error.
   Status Load();
 
-  /// True when Load() saw a complete record for this key (or a fresh cell
-  /// was appended under it since).
-  bool IsDone(const std::string& key) const;
-
-  /// The restored cell for `key`, or nullptr when not checkpointed.
+  /// The cell Load() read for `key` (or a fresh cell appended under it
+  /// since), or nullptr when not checkpointed.
   const ExperimentCell* Restored(const std::string& key) const;
 
   /// Appends one completed cell (JSONL line + fsync). Idempotent: a key
@@ -169,10 +169,12 @@ class FaultInjector {
   void ArmFromSeed(uint64_t seed);
 
   /// Builds an injector from the shared bench knobs: an explicit
-  /// --fail-after-cells value wins; otherwise CREW_FAULT_SEED (parsed as a
-  /// uint64) seed-arms it; otherwise returns nullptr (disarmed). Also
-  /// reads CREW_FAULT_HARD to select hard process exit over a Status.
-  static std::unique_ptr<FaultInjector> FromFlagsAndEnv(int fail_after_cells);
+  /// --fail-after-cells value wins; otherwise CREW_FAULT_SEED (decimal
+  /// digits of a uint64; anything else is InvalidArgument) seed-arms it;
+  /// otherwise returns nullptr (disarmed). Also reads CREW_FAULT_HARD to
+  /// select hard process exit over a Status.
+  static Result<std::unique_ptr<FaultInjector>> FromFlagsAndEnv(
+      int fail_after_cells);
 
   /// Called once by the executor when the grid size is known; resolves a
   /// seed-armed injector into a concrete fire point.

@@ -20,6 +20,27 @@ TEST(JsonEscapeTest, SpecialCharacters) {
   EXPECT_EQ(JsonEscape(std::string("ctl\x01x")), "ctl\\u0001x");
 }
 
+// JsonUnescape reads what JsonEscape writes, every byte value included,
+// and nothing else.
+TEST(JsonUnescapeTest, InvertsJsonEscapeExactly) {
+  std::vector<std::string> inputs = {"", "plain", "say \"hi\"", "a\\b\\",
+                                     "caf\xc3\xa9 \xf0\x9f\x98\x80"};
+  for (int c = 0; c < 256; ++c) inputs.emplace_back(1, static_cast<char>(c));
+  for (const std::string& s : inputs) {
+    const std::string escaped = JsonEscape(s);
+    std::string back = "kept:";
+    EXPECT_EQ(JsonUnescape(escaped + "\"tail", &back), escaped.size());
+    EXPECT_EQ(back, "kept:" + s);
+  }
+  for (const char* foreign :
+       {"\\u0041\"", "\\u000a\"", "\\u001F\"", "\\u00e9\"", "\\ud83d\"",
+        "\\u-001\"", "\\u00\"", "\\/\"", "\\b\"", "\\f\"", "\x01\"", "\t\"",
+        "no closing quote", "trailing backslash\\"}) {
+    std::string out;
+    EXPECT_EQ(JsonUnescape(foreign, &out), std::string_view::npos) << foreign;
+  }
+}
+
 TEST(SerializeTest, WordExplanationShape) {
   WordExplanation e;
   e.base_score = 0.75;

@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -141,6 +144,48 @@ TEST(CellJsonlTest, CellRoundTripsThroughParse) {
   EXPECT_EQ(back.notes[0].second, "val");
 }
 
+// Integers read back exactly over each field's whole range: a detour
+// through double would round 2^53+1 and refuse INT64_MAX.
+TEST(CellJsonlTest, IntegersRoundTripExactlyAtTheirLimits) {
+  ExperimentCell cell = SampleCell();
+  cell.aggregate.instances = INT_MAX;
+  cell.instances[0].index = INT_MIN;
+  cell.instances[0].chosen_k = INT_MAX;
+  cell.instances[0].flip_set.units_removed = INT_MIN;
+  cell.instances[0].flip_set.tokens_removed = INT_MAX;
+  cell.registry = {{"a", MetricKind::kCounter, (int64_t{1} << 53) + 1, 0.0},
+                   {"b", MetricKind::kDuration, INT64_MAX, 0.0},
+                   {"c", MetricKind::kHistogram, INT64_MIN, 0.0}};
+  const std::string line = CellToJsonl("", cell);
+  auto record = ParseCellRecord(line);
+  ASSERT_TRUE(record.ok()) << record.status().ToString();
+  const ExperimentCell& back = record->cell;
+  EXPECT_EQ(back.aggregate.instances, INT_MAX);
+  EXPECT_EQ(back.instances[0].index, INT_MIN);
+  EXPECT_EQ(back.instances[0].chosen_k, INT_MAX);
+  EXPECT_EQ(back.instances[0].flip_set.units_removed, INT_MIN);
+  EXPECT_EQ(back.instances[0].flip_set.tokens_removed, INT_MAX);
+  ASSERT_EQ(back.registry.size(), 3u);
+  EXPECT_EQ(back.registry[0].count, 9007199254740993);
+  EXPECT_EQ(back.registry[1].count, INT64_MAX);
+  EXPECT_EQ(back.registry[2].count, INT64_MIN);
+  EXPECT_EQ(CellToJsonl("", back), line);
+
+  // On an interior checkpoint line the same cell must not fail the load.
+  const std::string path = TempPath("ckpt_extreme_ints.jsonl");
+  ExperimentCell next = SampleCell();
+  next.variant = "w";
+  WriteFileOrDie(path, HeaderToJsonl(SampleHeader()) + "\n" + line + "\n" +
+                           CellToJsonl("", next) + "\n");
+  CheckpointStore store(path);
+  ASSERT_TRUE(store.Load().ok());
+  const ExperimentCell* restored = store.Restored(CellKey("", "d", "v"));
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(restored->registry[1].count, INT64_MAX);
+  EXPECT_EQ(store.done_cells(), 2);
+  std::remove(path.c_str());
+}
+
 TEST(CellJsonlTest, HeaderRoundTripsThroughParse) {
   auto record = ParseCellRecord(HeaderToJsonl(SampleHeader()));
   ASSERT_TRUE(record.ok()) << record.status().ToString();
@@ -181,8 +226,8 @@ void ExpectDataLoss(const std::string& line) {
       << record.status().ToString();
 }
 
-// Far deeper than any stack could recurse; the parser must refuse it at
-// its nesting cap instead of overflowing.
+// Far deeper than any stack could recurse; the reader must refuse it
+// without recursing on the brackets.
 const std::string& DeeplyNestedLine() {
   static const std::string* line = new std::string(1000000, '[');
   return *line;
@@ -321,8 +366,7 @@ TEST(CheckpointStoreTest, AppendThenLoadRestoresTheCell) {
   CheckpointStore reloaded(path);
   ASSERT_TRUE(reloaded.Load().ok());
   EXPECT_EQ(reloaded.done_cells(), 1);
-  EXPECT_TRUE(reloaded.IsDone(CellKey("s", "d", "v")));
-  EXPECT_FALSE(reloaded.IsDone(CellKey("", "d", "v")));
+  EXPECT_EQ(reloaded.Restored(CellKey("", "d", "v")), nullptr);
   const ExperimentCell* restored = reloaded.Restored(CellKey("s", "d", "v"));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->aggregate.aopc, 0.25);
@@ -451,6 +495,35 @@ TEST(FaultInjectorTest, SeedArmingIsDeterministicAndInRange) {
     EXPECT_GE(a.fail_after(), 0);
     EXPECT_LT(a.fail_after(), 7);
   }
+}
+
+// CREW_FAULT_SEED is outside input: only the decimal digits of a uint64
+// arm the injector; anything else fails rather than running unarmed.
+TEST(FaultInjectorTest, FaultSeedFromTheEnvironmentIsStrict) {
+  const char* saved = std::getenv("CREW_FAULT_SEED");
+  const std::string original = saved == nullptr ? "" : saved;
+  for (const char* bad : {"abc", "-1", "", " 12", "12x",
+                          "18446744073709551616"}) {
+    ASSERT_EQ(setenv("CREW_FAULT_SEED", bad, 1), 0);
+    auto fault = FaultInjector::FromFlagsAndEnv(-1);
+    ASSERT_FALSE(fault.ok()) << "'" << bad << "'";
+    EXPECT_EQ(fault.status().code(), StatusCode::kInvalidArgument);
+  }
+  ASSERT_EQ(setenv("CREW_FAULT_SEED", "12", 1), 0);
+  auto seeded = FaultInjector::FromFlagsAndEnv(-1);
+  ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+  ASSERT_NE(*seeded, nullptr);
+  EXPECT_TRUE((*seeded)->armed());
+  // An explicit --fail-after-cells wins without reading the variable.
+  ASSERT_EQ(setenv("CREW_FAULT_SEED", "abc", 1), 0);
+  auto flagged = FaultInjector::FromFlagsAndEnv(3);
+  ASSERT_TRUE(flagged.ok());
+  EXPECT_EQ((*flagged)->fail_after(), 3);
+  ASSERT_EQ(unsetenv("CREW_FAULT_SEED"), 0);
+  auto unarmed = FaultInjector::FromFlagsAndEnv(-1);
+  ASSERT_TRUE(unarmed.ok());
+  EXPECT_EQ(*unarmed, nullptr);
+  if (saved != nullptr) setenv("CREW_FAULT_SEED", original.c_str(), 1);
 }
 
 TEST(ReplayResultTest, TableSinkReplayMatchesStreamedCells) {

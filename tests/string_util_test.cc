@@ -75,5 +75,19 @@ TEST(StringUtilTest, ParseInt) {
   EXPECT_FALSE(ParseInt("99999999999999", &v));  // overflow
 }
 
+TEST(StringUtilTest, ParseUint64TakesDigitsOnly) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseUint64("12", &v));
+  EXPECT_EQ(v, 12u);
+  EXPECT_TRUE(ParseUint64("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  v = 5;
+  for (const char* bad : {"", "abc", "-1", "+1", " 12", "12 ", "1.5", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(ParseUint64(bad, &v)) << bad;
+  }
+  EXPECT_EQ(v, 5u);
+}
+
 }  // namespace
 }  // namespace crew

@@ -50,7 +50,8 @@ def cell_key(record):
 
 
 def parse_shard(path, text):
-    """Returns (header_record_or_None, {key: (record, line)}) for one shard."""
+    """Returns ((header_record, line) or None, {key: (record, line)}) for one
+    shard."""
     header = None
     cells = {}
     lines = text.split("\n")
@@ -83,11 +84,12 @@ def parse_shard(path, text):
             if "experiment" not in record:
                 raise MergeError(f"{path}:{i + 1}: header has no experiment")
             if header is None:
-                header = record
-            elif header["experiment"] != record["experiment"]:
+                header = (record, line)
+            elif header[0]["experiment"] != record["experiment"]:
                 raise MergeError(
                     f"{path}:{i + 1}: shard mixes experiments "
-                    f"'{header['experiment']}' vs '{record['experiment']}'")
+                    f"'{header[0]['experiment']}' vs "
+                    f"'{record['experiment']}'")
         elif kind == "cell":
             if torn:
                 # Parsed fine but the line never got its newline: treat as
@@ -123,12 +125,15 @@ def merge(paths):
             raise MergeError(f"{path}: {e}")
         header, cells = parse_shard(path, text)
         if header is not None:
+            record, line = header
             if experiment is None:
-                experiment = header["experiment"]
-                header_line = json.dumps(header, separators=(",", ":"))
-            elif experiment != header["experiment"]:
+                # Verbatim, like the cell lines: re-serializing would
+                # rewrite non-ASCII text as \u escapes.
+                experiment = record["experiment"]
+                header_line = line
+            elif experiment != record["experiment"]:
                 raise MergeError(
-                    f"{path}: experiment '{header['experiment']}' does not "
+                    f"{path}: experiment '{record['experiment']}' does not "
                     f"match '{experiment}' from earlier shards")
         for key, (record, line) in cells.items():
             if key in merged and merged[key][0] != record:
@@ -232,6 +237,18 @@ def self_test():
         assert m1 == m2, "merge must not depend on shard order"
         keys = [cell_key(json.loads(line)) for line in m1.splitlines()[1:]]
         assert keys == ["d1|v1", "d1|v2", "d2|v1", "s|d1|v1"], keys
+
+        # The header is copied byte for byte, non-ASCII params included,
+        # exactly as the C++ writer emits them (raw UTF-8, no \u escapes).
+        header = ('{"v":2,"kind":"header","experiment":"exp",'
+                  '"params":[["note","caf\u00e9 \U0001f600 \\"q\\""]]}')
+        utf8 = _write(tmp, "utf8.jsonl",
+                      header + "\n" + _cell("d1", "v1") + "\n")
+        merged = os.path.join(tmp, "utf8_merged.jsonl")
+        run([utf8, "-o", merged], out=io.StringIO())
+        with open(merged, "rb") as f:
+            first = f.read().split(b"\n")[0]
+        assert first == header.encode("utf-8"), first
 
         # Identical duplicate cells (checkpoint + stream of one run) dedupe.
         dup = _write(tmp, "dup.jsonl",
