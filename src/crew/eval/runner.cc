@@ -5,12 +5,15 @@
 #include <chrono>
 #include <cstdio>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "crew/common/dcheck.h"
 #include "crew/common/logging.h"
 #include "crew/common/metrics.h"
 #include "crew/common/thread_pool.h"
+#include "crew/common/string_util.h"
 #include "crew/common/timer.h"
 #include "crew/common/trace.h"
 #include "crew/eval/comprehensibility.h"
@@ -468,81 +471,150 @@ Result<ExperimentResult> ExperimentRunner::RunWith(
   return out;
 }
 
-Result<ExperimentResult> ExperimentRunner::RunPrepared(
-    const std::vector<PreparedDataset>& prepared,
-    const RunHooks& hooks) const {
-  ExperimentResult out = EmptyResult();
-  CREW_CHECK(spec_.suite != nullptr);
-  // Materialize the whole canonical grid (every suite, every cell slot)
-  // before executing anything: checkpoint keys and result positions are a
-  // function of the spec alone, never of execution order.
-  std::vector<std::vector<SuiteEntry>> suites;
-  suites.reserve(prepared.size());
-  std::vector<std::pair<int, int>> tasks;  // (prepared idx, suite entry idx)
-  for (size_t pi = 0; pi < prepared.size(); ++pi) {
-    suites.push_back(spec_.suite(prepared[pi].pipeline));
-    for (size_t ei = 0; ei < suites.back().size(); ++ei) {
-      tasks.emplace_back(static_cast<int>(pi), static_cast<int>(ei));
-    }
+namespace {
+
+std::vector<std::string> VariantNamesOf(const std::vector<SuiteEntry>& suite) {
+  std::vector<std::string> names;
+  names.reserve(suite.size());
+  for (const SuiteEntry& entry : suite) names.push_back(entry.name);
+  return names;
+}
+
+// Evaluates one fresh cell of the grid into `cell`.
+Status ComputeCell(const ExperimentSpec& spec, const PreparedDataset& p,
+                   const SuiteEntry& entry, ExperimentCell* cell) {
+  ScopedProgressLabel label(p.name + "/" + entry.name);
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  WallTimer timer;
+  auto records = EvaluateInstances(
+      *entry.explainer, *p.pipeline.matcher, p.pipeline.test, p.instances,
+      p.pipeline.embeddings.get(), spec.seed, spec.eval);
+  if (!records.ok()) return records.status();
+  cell->dataset = p.name;
+  cell->variant = entry.name;
+  cell->wall_ms = timer.ElapsedMillis();
+  // All-zero entries are dropped so the delta's shape reflects this
+  // cell's activity only — metrics a *previous* cell registered must not
+  // leak in, or the block would depend on execution order.
+  cell->registry = DropZeroMetrics(
+      MetricsDelta(MetricsRegistry::Global().Snapshot(), before));
+  cell->instances = std::move(records.value());
+  {
+    CREW_TRACE_SPAN("runner/reduce");
+    cell->aggregate = ReduceInstances(entry.name, cell->instances);
   }
-  out.cells.resize(tasks.size());
+  if (StableTiming()) ZeroCellTimings(cell);
+  return Status::Ok();
+}
+
+// Where grid row `row`'s PreparedDataset comes from: Run() prepares it
+// into `*owned`, RunPrepared() lends the caller's.
+using PreparedSource = std::function<Result<const PreparedDataset*>(
+    size_t row, std::optional<PreparedDataset>* owned)>;
+
+// The one cell loop behind Run() and RunPrepared(). The key grid (`rows`
+// x the suite's variant names) is fixed before anything is prepared, so
+// a restored cell never waits for set-up: a row's dataset is obtained
+// (and its suite built) when its first fresh cell comes up, and released
+// after its last cell in execution order.
+Result<ExperimentResult> RunGrid(const ExperimentSpec& spec,
+                                 ExperimentResult out,
+                                 const std::vector<std::string>& rows,
+                                 const PreparedSource& source,
+                                 const RunHooks& hooks) {
+  CREW_CHECK(spec.suite != nullptr);
+  // Checkpoint keys and result positions are a function of the spec
+  // alone, never of execution order or of what has been prepared.
+  const std::vector<std::string> variants =
+      VariantNamesOf(spec.suite(TrainedPipeline()));
+  const size_t width = variants.size();
+  out.cells.resize(rows.size() * width);
 
   CellStreamer streamer(hooks);
-  CREW_RETURN_IF_ERROR(streamer.Begin(out, static_cast<int>(tasks.size())));
+  CREW_RETURN_IF_ERROR(
+      streamer.Begin(out, static_cast<int>(out.cells.size())));
 
   // Execution order is a pure schedule: shuffling it (shuffle_seed) or
   // skipping restored cells changes which slot is filled when, never what
   // any slot contains — per-instance seeds derive from the grid key.
-  std::vector<int> order(tasks.size());
+  std::vector<int> order(out.cells.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   if (hooks.shuffle_seed != 0) {
     Rng(hooks.shuffle_seed).Shuffle(order);
   }
+  std::vector<size_t> last_use(rows.size(), 0);
+  for (size_t i = 0; i < order.size(); ++i) {
+    last_use[static_cast<size_t>(order[i]) / width] = i;
+  }
 
-  for (const int slot : order) {
-    const PreparedDataset& p = prepared[tasks[slot].first];
-    const SuiteEntry& entry = suites[tasks[slot].first][tasks[slot].second];
-    ExperimentCell& cell = out.cells[slot];
-    auto restored = streamer.TryRestore(p.name, entry.name, &cell);
+  struct LiveRow {
+    std::optional<PreparedDataset> owned;
+    const PreparedDataset* prepared = nullptr;
+    std::vector<SuiteEntry> suite;
+  };
+  std::vector<LiveRow> live(rows.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t row = static_cast<size_t>(order[i]) / width;
+    const size_t variant = static_cast<size_t>(order[i]) % width;
+    ExperimentCell& cell = out.cells[order[i]];
+    auto restored = streamer.TryRestore(rows[row], variants[variant], &cell);
     if (!restored.ok()) return restored.status();
-    if (restored.value()) continue;
-    CREW_RETURN_IF_ERROR(streamer.BeforeFreshCell());
-    ScopedProgressLabel label(p.name + "/" + entry.name);
-    const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-    WallTimer timer;
-    auto records = EvaluateInstances(
-        *entry.explainer, *p.pipeline.matcher, p.pipeline.test, p.instances,
-        p.pipeline.embeddings.get(), spec_.seed, spec_.eval);
-    if (!records.ok()) return records.status();
-    cell.dataset = p.name;
-    cell.variant = entry.name;
-    cell.wall_ms = timer.ElapsedMillis();
-    // All-zero entries are dropped so the delta's shape reflects this
-    // cell's activity only — metrics a *previous* cell registered must not
-    // leak in, or the block would depend on execution order.
-    cell.registry = DropZeroMetrics(
-        MetricsDelta(MetricsRegistry::Global().Snapshot(), before));
-    cell.instances = std::move(records.value());
-    {
-      CREW_TRACE_SPAN("runner/reduce");
-      cell.aggregate = ReduceInstances(entry.name, cell.instances);
+    if (!restored.value()) {
+      CREW_RETURN_IF_ERROR(streamer.BeforeFreshCell());
+      LiveRow& r = live[row];
+      if (r.prepared == nullptr) {
+        auto prepared = source(row, &r.owned);
+        if (!prepared.ok()) return prepared.status();
+        r.prepared = prepared.value();
+        r.suite = spec.suite(r.prepared->pipeline);
+        const std::vector<std::string> names = VariantNamesOf(r.suite);
+        if (names != variants) {
+          return Status::InvalidArgument(
+              "ExperimentSpec::suite returned variants [" +
+              Join(names, ",") + "] for dataset " + rows[row] + " but [" +
+              Join(variants, ",") +
+              "] without a pipeline; its names must not depend on the "
+              "pipeline");
+        }
+      }
+      CREW_RETURN_IF_ERROR(
+          ComputeCell(spec, *r.prepared, r.suite[variant], &cell));
+      CREW_RETURN_IF_ERROR(streamer.Emit(cell));
     }
-    if (StableTiming()) ZeroCellTimings(&cell);
-    CREW_RETURN_IF_ERROR(streamer.Emit(cell));
+    if (i == last_use[row]) live[row] = LiveRow();
   }
   CREW_RETURN_IF_ERROR(streamer.Finish(out));
   return out;
 }
 
+}  // namespace
+
+Result<ExperimentResult> ExperimentRunner::RunPrepared(
+    const std::vector<PreparedDataset>& prepared,
+    const RunHooks& hooks) const {
+  std::vector<std::string> rows;
+  rows.reserve(prepared.size());
+  for (const PreparedDataset& p : prepared) rows.push_back(p.name);
+  return RunGrid(
+      spec_, EmptyResult(), rows,
+      [&prepared](size_t row, std::optional<PreparedDataset>*)
+          -> Result<const PreparedDataset*> { return &prepared[row]; },
+      hooks);
+}
+
 Result<ExperimentResult> ExperimentRunner::Run(const RunHooks& hooks) const {
-  std::vector<PreparedDataset> prepared;
-  prepared.reserve(spec_.datasets.size());
-  for (const BenchmarkEntry& entry : spec_.datasets) {
-    auto p = PrepareDataset(entry, spec_);
-    if (!p.ok()) return p.status();
-    prepared.push_back(std::move(p.value()));
-  }
-  return RunPrepared(prepared, hooks);
+  std::vector<std::string> rows;
+  rows.reserve(spec_.datasets.size());
+  for (const BenchmarkEntry& entry : spec_.datasets) rows.push_back(entry.name);
+  return RunGrid(
+      spec_, EmptyResult(), rows,
+      [this](size_t row, std::optional<PreparedDataset>* owned)
+          -> Result<const PreparedDataset*> {
+        auto prepared = PrepareDataset(spec_.datasets[row], spec_);
+        if (!prepared.ok()) return prepared.status();
+        return &owned->emplace(std::move(prepared.value()));
+      },
+      hooks);
 }
 
 }  // namespace crew

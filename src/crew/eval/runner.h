@@ -242,7 +242,15 @@ struct ExperimentSpec {
   uint64_t seed = 7;
   InstanceEvalOptions eval;
   /// Builds the explainer line-up for one prepared pipeline. Required by
-  /// Run(); RunWith-based experiments may leave it empty.
+  /// Run() and RunPrepared(); RunWith-based experiments may leave it empty.
+  ///
+  /// Contract: the variant names must not depend on the pipeline. The
+  /// runner lists them once by calling `suite(TrainedPipeline())` (no
+  /// matcher, no embeddings, empty splits) before anything is prepared, so
+  /// a factory may only capture the pipeline's members, never dereference
+  /// them while building. Every call on a real pipeline must return the
+  /// same names in the same order; a run whose factory breaks this fails
+  /// with InvalidArgument.
   std::function<std::vector<SuiteEntry>(const TrainedPipeline&)> suite;
 };
 
@@ -251,22 +259,35 @@ struct ExperimentSpec {
 Result<PreparedDataset> PrepareDataset(const BenchmarkEntry& entry,
                                        const ExperimentSpec& spec);
 
-/// Executes an ExperimentSpec: prepare each dataset, evaluate every suite
-/// variant on its selected instances (instances sharded across the scoring
-/// pool), reduce deterministically, and return the structured grid.
+/// Executes an ExperimentSpec key-first: the whole grid of cell keys
+/// (spec.datasets x the suite's variant names) is known before any dataset
+/// is prepared, checkpoint-restored cells are copied first, and a dataset
+/// is set up only when one of its cells must be computed. Fresh cells
+/// evaluate every instance (sharded across the scoring pool) and reduce
+/// deterministically into the structured grid.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(ExperimentSpec spec) : spec_(std::move(spec)) {}
 
   const ExperimentSpec& spec() const { return spec_; }
 
-  /// The standard grid: spec.suite x spec.datasets. `hooks` (optional)
-  /// adds streaming sinks, checkpoint restore/append, fault injection, and
-  /// schedule shuffling; default hooks reproduce the plain batch run.
+  /// The standard grid: spec.datasets x spec.suite, walked slot by slot in
+  /// canonical (or `hooks.shuffle_seed`-shuffled) order. A slot the
+  /// checkpoint holds is restored and streamed without any set-up. A
+  /// dataset is prepared (PrepareDataset) when the first of its cells that
+  /// is not restored comes up, after the fault-injection check and before
+  /// the cell's registry snapshot, and released after its last cell; a
+  /// resume over a finished checkpoint therefore costs only the checkpoint
+  /// load. `hooks` (optional) adds streaming sinks, checkpoint
+  /// restore/append, fault injection, and schedule shuffling; default
+  /// hooks reproduce the plain batch run.
   Result<ExperimentResult> Run(const RunHooks& hooks = RunHooks()) const;
 
   /// Run() over externally prepared datasets — lets budget sweeps reuse
-  /// one trained pipeline across several runner invocations.
+  /// one trained pipeline across several runner invocations. Same cell
+  /// loop as Run(); the grid's rows are `prepared` (by name) instead of
+  /// spec.datasets, and a row's suite is built only when one of its cells
+  /// must be computed.
   Result<ExperimentResult> RunPrepared(
       const std::vector<PreparedDataset>& prepared,
       const RunHooks& hooks = RunHooks()) const;

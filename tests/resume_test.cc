@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -51,15 +52,18 @@ BenchmarkEntry TinyEntry(const std::string& name, uint64_t seed) {
 
 // 2 datasets x 2 variants = a 4-cell grid, small enough to rerun many
 // times but wide enough that kill points 1..3 leave a genuinely partial
-// checkpoint.
-ExperimentRunner MakeRunner() {
+// checkpoint. With `prepared` set, the suite factory counts its calls on a
+// real pipeline: Run() makes exactly one per dataset it prepares (the
+// runner's own name listing passes an empty pipeline).
+ExperimentRunner MakeRunner(int* prepared = nullptr) {
   ExperimentSpec spec;
   spec.name = "resume_grid";
   spec.datasets = {TinyEntry("tiny-a", 3), TinyEntry("tiny-b", 4)};
   spec.matcher = MatcherKind::kLogistic;
   spec.instances_per_dataset = 2;
   spec.seed = 7;
-  spec.suite = [](const TrainedPipeline&) {
+  spec.suite = [prepared](const TrainedPipeline& pipeline) {
+    if (prepared != nullptr && pipeline.matcher != nullptr) ++*prepared;
     std::vector<SuiteEntry> suite;
     LimeConfig lime;
     lime.perturbation.num_samples = 16;
@@ -150,9 +154,112 @@ TEST(ResumeTest, FullyCheckpointedGridRecomputesNothing) {
   RunHooks hooks;
   hooks.checkpoint = &checkpoint;
   hooks.fault = &fault;
-  auto result = MakeRunner().Run(hooks);
+  int prepared = 0;
+  auto result = MakeRunner(&prepared).Run(hooks);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->cells.size(), 4u);
+  // Key-first: every cell is restored before any set-up is needed, so no
+  // dataset is generated, embedded or trained.
+  EXPECT_EQ(prepared, 0);
+  std::remove(path.c_str());
+}
+
+TEST(ResumeTest, PreparesOnlyDatasetsWithMissingCells) {
+  // Canonical order is tiny-a/{lime,random}, tiny-b/{lime,random}. A run
+  // killed after k cells has prepared the datasets of those k cells and no
+  // more (the fault check precedes set-up, so a kill at the dataset
+  // boundary k=2 never prepares tiny-b); the resume prepares exactly the
+  // datasets that still miss a cell.
+  ScopedStableTiming stable;
+  struct Case {
+    int kill_after;
+    int prepared_before_kill;
+    int prepared_on_resume;
+  };
+  for (const Case& c : {Case{0, 0, 2}, Case{1, 1, 2}, Case{2, 1, 1},
+                        Case{3, 2, 1}}) {
+    SCOPED_TRACE("kill_after=" + std::to_string(c.kill_after));
+    const std::string path =
+        CheckpointPath("lazy_" + std::to_string(c.kill_after));
+    std::remove(path.c_str());
+    {
+      CheckpointStore checkpoint(path);
+      ASSERT_TRUE(checkpoint.Load().ok());
+      FaultInjector fault;
+      fault.ArmAfterCells(c.kill_after);
+      RunHooks hooks;
+      hooks.checkpoint = &checkpoint;
+      hooks.fault = &fault;
+      int prepared = 0;
+      ASSERT_FALSE(MakeRunner(&prepared).Run(hooks).ok());
+      EXPECT_EQ(prepared, c.prepared_before_kill);
+    }
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    int prepared = 0;
+    auto resumed = MakeRunner(&prepared).Run(hooks);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(prepared, c.prepared_on_resume);
+    EXPECT_EQ(checkpoint.done_cells(), 4);
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ResumeTest, ShuffledCheckpointLinesRestoreTheSameGrid) {
+  // Restore is by cell key, never by line position: permuting a complete
+  // checkpoint's cell lines (header kept first) must resume to the
+  // byte-identical document, with and without --metrics, and without
+  // preparing anything.
+  ScopedStableTiming stable;
+  auto clean = MakeRunner().Run();
+  ASSERT_TRUE(clean.ok());
+  const std::string clean_json = ExperimentResultToJson(*clean);
+  clean->include_metrics = true;
+  const std::string clean_metrics_json = ExperimentResultToJson(*clean);
+
+  const std::string path = CheckpointPath("shuffled");
+  std::remove(path.c_str());
+  {
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    ASSERT_TRUE(MakeRunner().Run(hooks).ok());
+  }
+  std::vector<std::string> lines;
+  {
+    std::ifstream in(path, std::ios::binary);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), 5u);  // header + 4 cells
+  for (const std::vector<int>& permutation :
+       {std::vector<int>{4, 3, 2, 1}, std::vector<int>{2, 4, 1, 3},
+        std::vector<int>{3, 1, 4, 2}}) {
+    SCOPED_TRACE("cell lines " + std::to_string(permutation[0]) +
+                 std::to_string(permutation[1]) +
+                 std::to_string(permutation[2]) +
+                 std::to_string(permutation[3]));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << lines[0] << '\n';
+      for (int line : permutation) out << lines[line] << '\n';
+    }
+    CheckpointStore checkpoint(path);
+    ASSERT_TRUE(checkpoint.Load().ok());
+    EXPECT_EQ(checkpoint.done_cells(), 4);
+    RunHooks hooks;
+    hooks.checkpoint = &checkpoint;
+    int prepared = 0;
+    auto resumed = MakeRunner(&prepared).Run(hooks);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    EXPECT_EQ(prepared, 0);
+    EXPECT_EQ(ExperimentResultToJson(*resumed), clean_json);
+    resumed->include_metrics = true;
+    EXPECT_EQ(ExperimentResultToJson(*resumed), clean_metrics_json);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ResumeTest, StreamShardCarriesTheWholeGridAcrossRestarts) {

@@ -528,6 +528,90 @@ TEST(ExperimentRunnerTest, CellsAreIndependentOfCompletionOrder) {
   SetStableTiming(false);
 }
 
+// 2 datasets x {lime, random}. The suite factory counts its calls on a
+// real pipeline, which Run() makes once per dataset it prepares.
+ExperimentRunner CountingRunner(int* prepared) {
+  ExperimentSpec spec;
+  spec.name = "lazy_prepare";
+  spec.datasets = {TinyEntry("tiny-a", 3), TinyEntry("tiny-b", 4)};
+  spec.matcher = MatcherKind::kLogistic;
+  spec.instances_per_dataset = 2;
+  spec.seed = 7;
+  spec.suite = [prepared](const TrainedPipeline& pipeline) {
+    if (pipeline.matcher != nullptr) ++*prepared;
+    std::vector<SuiteEntry> suite;
+    LimeConfig lime;
+    lime.perturbation.num_samples = 16;
+    suite.push_back({"lime", std::make_unique<LimeExplainer>(lime)});
+    suite.push_back({"random", std::make_unique<RandomExplainer>()});
+    return suite;
+  };
+  return ExperimentRunner(std::move(spec));
+}
+
+TEST(ExperimentRunnerTest, EachDatasetIsPreparedOnceInAnyScheduleAndPool) {
+  // Preparation is lazy and a dataset lives until its last cell, so a
+  // shuffled schedule that interleaves the datasets' cells still prepares
+  // each exactly once — and the result stays bit-identical to the
+  // canonical single-thread run for every thread count.
+  SetStableTiming(true);
+  int prepared = 0;
+  auto canonical = CountingRunner(&prepared).Run();
+  ASSERT_TRUE(canonical.ok());
+  EXPECT_EQ(prepared, 2);
+  canonical->include_metrics = true;
+  const std::string canonical_json = ExperimentResultToJson(*canonical);
+  for (int threads : {1, 2, 4}) {
+    ScopedScoringThreads scoped(threads);
+    for (uint64_t shuffle_seed : {0u, 11u, 42u, 97u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " shuffle_seed=" + std::to_string(shuffle_seed));
+      RunHooks hooks;
+      hooks.shuffle_seed = shuffle_seed;
+      prepared = 0;
+      auto result = CountingRunner(&prepared).Run(hooks);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(prepared, 2);
+      // Only the header's "threads" param may differ.
+      result->params = canonical->params;
+      result->include_metrics = true;
+      EXPECT_EQ(ExperimentResultToJson(*result), canonical_json);
+    }
+  }
+  SetStableTiming(false);
+}
+
+TEST(ExperimentRunnerTest, SuiteNamesThatDependOnThePipelineAreRefused) {
+  // The runner derives the key grid from suite(TrainedPipeline()); a
+  // factory whose real line-up differs (more, fewer or reordered names)
+  // breaks the contract and must fail cleanly instead of crashing.
+  using Names = std::vector<std::string>;
+  for (const Names& real : {Names{"lime", "random", "extra"}, Names{"lime"},
+                            Names{"random", "lime"}}) {
+    SCOPED_TRACE(real.size());
+    ExperimentSpec spec;
+    spec.name = "pipeline_dependent_names";
+    spec.datasets = {TinyEntry("tiny", 3)};
+    spec.matcher = MatcherKind::kLogistic;
+    spec.instances_per_dataset = 2;
+    spec.suite = [real](const TrainedPipeline& pipeline) {
+      const Names names = pipeline.matcher != nullptr
+                              ? real
+                              : Names{"lime", "random"};
+      std::vector<SuiteEntry> suite;
+      for (const std::string& name : names) {
+        suite.push_back({name, std::make_unique<RandomExplainer>()});
+      }
+      return suite;
+    };
+    ExperimentRunner runner(std::move(spec));
+    auto result = runner.Run();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().ToString().find("tiny"), std::string::npos);
+  }
+}
+
 TEST(ExperimentRunnerTest, RegistryDeltaPartitionsStagePredictions) {
   // Each cell carries the full metrics-registry delta for its run, and the
   // per-stage prediction split must sum to the total.

@@ -119,7 +119,11 @@ def merge(paths):
     merged = {}
     for path in paths:
         try:
-            with open(path, "r", encoding="utf-8") as f:
+            # The C++ reader takes any string byte >= 0x20, UTF-8 or not;
+            # surrogateescape carries such bytes through to the verbatim
+            # output copy unchanged.
+            with open(path, "r", encoding="utf-8",
+                      errors="surrogateescape") as f:
                 text = f.read()
         except OSError as e:
             raise MergeError(f"{path}: {e}")
@@ -172,7 +176,7 @@ def run(argv, out=sys.stdout):
     sink = out
     close = False
     if output is not None:
-        sink = open(output, "w", encoding="utf-8")
+        sink = open(output, "w", encoding="utf-8", errors="surrogateescape")
         close = True
     try:
         if header_line is not None:
@@ -250,6 +254,21 @@ def self_test():
             first = f.read().split(b"\n")[0]
         assert first == header.encode("utf-8"), first
 
+        # A value that is not UTF-8 (the C++ writer copies string bytes
+        # raw) validates and merges byte for byte.
+        latin1 = os.path.join(tmp, "latin1.jsonl")
+        raw_cell = _cell("d", "v1").encode("ascii").replace(
+            b'"dataset":"d"', b'"dataset":"d\xff"')
+        with open(latin1, "wb") as f:
+            f.write(_header().encode("utf-8") + b"\n" + raw_cell + b"\n")
+        out = io.StringIO()
+        run(["--check", latin1], out=out)
+        assert "1 cell(s)" in out.getvalue(), out.getvalue()
+        merged = os.path.join(tmp, "latin1_merged.jsonl")
+        run([latin1, "-o", merged], out=io.StringIO())
+        with open(merged, "rb") as f:
+            assert f.read().split(b"\n")[1] == raw_cell
+
         # Identical duplicate cells (checkpoint + stream of one run) dedupe.
         dup = _write(tmp, "dup.jsonl",
                      _header() + "\n" + _cell("d1", "v1") + "\n" +
@@ -306,6 +325,8 @@ def self_test():
 
 def main():
     argv = sys.argv[1:]
+    # A merge to stdout copies non-UTF-8 bytes as verbatim as one to -o.
+    sys.stdout.reconfigure(errors="surrogateescape")
     if argv == ["--self-test"]:
         self_test()
         return
